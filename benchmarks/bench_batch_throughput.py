@@ -3,9 +3,8 @@
 
 Measures how many ITSPQ queries per second the engine answers when a
 workload is executed through the :class:`~repro.core.batch.BatchExecutor`
-(planned common-source groups, one multi-target search per group, shared
-search arena) versus the sequential one-search-per-query loop, on two
-venues:
+(planned common-source groups, one multi-target search per group) versus
+the sequential one-search-per-query loop, on two venues:
 
 ``example``
     The paper's running example (Figure 1 / Table I).

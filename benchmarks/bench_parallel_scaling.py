@@ -15,8 +15,8 @@ service shape) is executed:
 ``workers=N``
     The :class:`~repro.core.parallel.ParallelBatchExecutor`: the same plan
     fanned out over ``N`` worker processes, each rehydrating the compiled
-    index from its serialised ``repro.io`` form and owning a private search
-    arena.  Results are asserted bit-identical to the sequential engine
+    index from its serialised ``repro.io`` form and owning a private batch
+    executor.  Results are asserted bit-identical to the sequential engine
     before any timing is trusted.
 
 Parallel speedup is bounded by the machine: on a single-core host the pool

@@ -19,14 +19,22 @@ Contents
     The integer-indexed compiled search index: dense ``DM`` arrays, flattened
     adjacency, flat ATI boundary arrays and per-interval open-door bitsets,
     powering the engine's default fast path (``compiled=True``).
+:mod:`repro.core.kernel`
+    The one compiled door-level search: every compiled tier — single
+    queries (as groups of one), batch groups and SP-tree cache recording —
+    runs its multi-target Dijkstra loop.
 :mod:`repro.core.batch`
-    Vectorised batch query execution: the reusable generation-stamped search
-    arena, the common-source batch planner and the multi-target executor
-    behind ``ITSPQEngine.run_batch``.
+    Batch query execution: the common-source batch planner and the executor
+    behind ``ITSPQEngine.run_batch`` that answers each planned group with
+    one multi-target kernel run.
+:mod:`repro.core.cache`
+    The interval-keyed shortest-path-tree cache: recorded kernel runs
+    replayed per query, statistics included.
 :mod:`repro.core.parallel`
     Supervised multiprocess batch execution: planned groups fanned out as
-    tracked, retryable chunks over a pool of worker processes (arena per
-    worker, compiled index handed off in its serialised ``repro.io`` form),
+    tracked, retryable chunks over a pool of worker processes (a batch
+    executor per worker, compiled index handed off in its serialised
+    ``repro.io`` form),
     with a degradation ladder — retry on a respawned pool, then in-process
     fallback — that keeps ``ITSPQEngine.run_batch(workers=N)`` bit-identical
     to sequential execution even under worker crashes, chunk timeouts and
@@ -40,7 +48,7 @@ Contents
     as correctness oracles by the test-suite.
 """
 
-from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner, SearchArena
+from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner
 from repro.core.cache import CacheConfig, SPTreeCache
 from repro.core.compiled import CompiledITGraph
 from repro.core.deadline import SearchDeadline
@@ -75,7 +83,6 @@ __all__ = [
     "SearchDeadline",
     "ExecutionReport",
     "ParallelBatchExecutor",
-    "SearchArena",
     "default_worker_count",
     "CompiledITGraph",
     "GraphSnapshot",

@@ -10,25 +10,25 @@ so far — compiled, batch, parallel — re-runs Dijkstra from scratch for each
 ``(source, interval, method)`` even when it just computed that exact tree.
 
 :class:`SPTreeCache` closes that gap.  It memoises **recorded shortest-path
-trees**: one zero-target, full-exhaustion run of the compiled Dijkstra per
-``(method kind, anchor point, effective-time key, privacy context, temporal
-semantics)`` — the same key the :class:`~repro.core.batch.BatchPlanner`
-groups by — storing the
-final label arrays *plus* a compact event log of the run (pop order, push
-counter, cumulative statistics, heap-occupancy trajectory and the per-door
-"target relax opportunity" rows).  A repeat query is then answered without
-any search: an O(rows-until-settle) scan picks the winning door, a binary
-search over the event log finds the exact moment the member's target would
-have settled, and the member's :class:`~repro.core.query.SearchStatistics`
-are reconstructed **bit-identically** to what a fresh
-``ITSPQEngine._search_compiled`` run would report (the repository's standing
-parity invariant; ``tests/test_cache_parity.py`` enforces it counter for
-counter).
+trees**: one zero-target, full-exhaustion run of the compiled kernel
+(:func:`repro.core.kernel.run_group` with an
+:class:`~repro.core.kernel.EventLog`) per ``(method kind, anchor point,
+effective-time key, privacy context, temporal semantics)`` — the group key
+of the :class:`~repro.core.batch.BatchPlanner` — storing the final label
+arrays *plus* a compact event log of the run (pop order, push counter,
+cumulative statistics, heap-occupancy trajectory and the per-door "target
+relax opportunity" rows).  A repeat query is then answered without any
+search: an O(rows-until-settle) scan picks the winning door, a binary search
+over the event log finds the exact moment the member's target would have
+settled, and the member's :class:`~repro.core.query.SearchStatistics` are
+reconstructed **bit-identically** to what a fresh search would report (the
+repository's standing parity invariant; ``tests/test_cache_parity.py``
+enforces it counter for counter).
 
-Why exact reconstruction is possible (the same argument the batch executor
-rests on, taken one step further): target entries never relax doors, so a
-member query's door-level event sequence is a prefix of the zero-target
-run's event sequence.  Heap pops occur in globally sorted ``(distance,
+Why exact reconstruction is possible (the argument the kernel's
+multi-target groups rest on, taken one step further): target entries never
+relax doors, so a member query's door-level event sequence is a prefix of
+the zero-target run's event sequence.  Heap pops occur in globally sorted ``(distance,
 tie)`` order — every push's priority is ≥ the priority being popped, and
 ties increase monotonically — so the prefix length is a binary search over
 the recorded ``(pop distance, push index)`` pairs, stale pops included.
@@ -41,9 +41,9 @@ lookups) afterwards.
 
 Admission and invalidation:
 
-* keys follow the batch planner exactly, so the engine's single-query path,
-  the in-process batch path and every parallel worker address the same tree
-  space;
+* keys are the batch planner's group keys, so the engine's single-query
+  path (a group of one), the in-process batch path and every parallel
+  worker address the same tree space;
 * ``mode="promote"`` (default) records a tree only after a key misses
   ``promote_after`` times — one-off queries never pay the full-exhaustion
   recording run; ``mode="eager"`` records on first miss (bench/warm-up);
@@ -63,22 +63,19 @@ trees are already known.
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from heapq import heappop, heappush
 from math import hypot, inf
 from typing import Dict, List, Optional, Tuple
 
 from repro.constants import WALKING_SPEED_MPS
 from repro.core.compiled import CompiledITGraph
 from repro.core.deadline import SearchDeadline
-from repro.core.path import IndoorPath, PathHop
+from repro.core.kernel import EventLog, reconstruct_path, run_group
 from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
-from repro.core.semantics import NO_WAIT, TemporalSemantics, derive_counters, make_edge_probe
+from repro.core.semantics import derive_counters
 from repro.core.snapshot import CompiledSnapshotStore
-from repro.temporal.timeofday import TimeOfDay
 
 _INFINITY = inf
 #: Block width of the occupancy range-max index (power of two for shifts).
@@ -299,42 +296,6 @@ class SPTreeCache:
         self.evictions = 0
         self.pruned = 0
 
-    # -- keys -----------------------------------------------------------------
-
-    def plan_key(
-        self,
-        kind: int,
-        source,
-        query_seconds: float,
-        source_pidx: int,
-        target_pidx: int,
-        semantics: TemporalSemantics = NO_WAIT,
-    ) -> Tuple[tuple, frozenset]:
-        """The batch planner's group key (and allowed-private set) for one
-        located query — the cache's address space and the planner's are the
-        same by construction.  ``source`` is the *anchor* of the search
-        (``semantics.search_endpoints``), so latest-departure trees are
-        addressed by the point the backward search grows from."""
-        private = self._graph.partition_private
-        privacy_key = (
-            target_pidx if private[target_pidx] and target_pidx != source_pidx else -1
-        )
-        key = (
-            kind,
-            source.x,
-            source.y,
-            source.floor,
-            self.resolver.key(kind, query_seconds),
-            privacy_key,
-            semantics,
-        )
-        allowed = (
-            frozenset((source_pidx,))
-            if privacy_key < 0
-            else frozenset((source_pidx, target_pidx))
-        )
-        return key, allowed
-
     # -- admission / eviction --------------------------------------------------
 
     def lookup(self, key: tuple) -> Optional[CachedTree]:
@@ -413,270 +374,87 @@ class SPTreeCache:
 
     # -- recording -------------------------------------------------------------
 
-    def build(
-        self,
-        key: tuple,
-        kind: int,
-        method_label: str,
-        source,
-        source_pidx: int,
-        allowed_private,
-        rep_seconds: float,
-        semantics: TemporalSemantics = NO_WAIT,
-        deadline: Optional[SearchDeadline] = None,
-    ) -> CachedTree:
-        """Record the zero-target run for ``key`` and cache the tree.
+    def build(self, group, deadline: Optional[SearchDeadline] = None) -> CachedTree:
+        """Record and cache the tree of one planned batch group.
 
-        An armed ``deadline`` is checked before the recording run starts and
+        The recording run is the kernel's zero-target mode: the group's
+        search runs to exhaustion with an :class:`~repro.core.kernel.EventLog`
+        attached.  An armed ``deadline`` is checked before the run starts and
         polled inside it; expiry raises before anything is cached, so the
         cache never holds a tree from an interrupted run."""
-        tree = self._record_tree(
-            kind,
-            method_label,
-            source,
-            source_pidx,
-            allowed_private,
-            rep_seconds,
-            semantics,
-            deadline,
-        )
-        self.store_tree(key, tree)
-        self.trees_built += 1
-        return tree
-
-    def build_for_group(self, group, deadline: Optional[SearchDeadline] = None) -> CachedTree:
-        """Record and cache the tree of one planned batch group."""
-        return self.build(
-            group.cache_key,
-            group.kind,
-            group.method_label,
-            group.source,
-            group.source_pidx,
-            group.allowed_private,
-            group.rep_seconds,
-            group.semantics,
-            deadline=deadline,
-        )
-
-    def _record_tree(
-        self,
-        kind,
-        method_label,
-        source,
-        source_pidx,
-        allowed_private,
-        rep_seconds,
-        semantics,
-        deadline: Optional[SearchDeadline] = None,
-    ) -> CachedTree:
-        """The zero-target, full-exhaustion twin of the batch executor's
-        shared search, with the event log recorded alongside.
-
-        Mirrors ``BatchExecutor._run_group`` relaxation for relaxation (same
-        :func:`~repro.core.semantics.make_edge_probe` kernel, same
-        check-before-relax order, same tie-breaking), which itself mirrors
-        ``ITSPQEngine._search_compiled``: with no target entries in the heap,
-        the source/door event sequence is the common supersequence every
-        member query's private search is a prefix of.
-        """
-        graph = self._graph
-        door_count = graph.door_count
-        source_node = door_count
-        node_count = door_count + 1
-
-        dist = array("d", [_INFINITY]) * node_count
-        prev_node = array("l", [-1]) * node_count
-        prev_part = array("l", [-1]) * node_count
-        settled = bytearray(node_count)
-
-        adjacency = graph.adjacency
-        door_x = graph.door_x
-        door_y = graph.door_y
-        door_floor = graph.door_floor
-        source_x, source_y, source_floor = source.x, source.y, source.floor
-        speed = self._speed
-
-        heappush_local = heappush
-        heappop_local = heappop
-
-        # -- per-event log ---------------------------------------------------
-        pop_dist = array("d")
-        pop_push = array("l")
-        cum_settled = array("l")
-        cum_relax = array("l")
-        cum_pushes = array("l")
-        cum_parts = array("l")
-        cum_private = array("l")
-        cum_tpruned = array("l")
-        cum_ati = array("l")
-        cum_refresh = array("l")
-        cum_member = array("l")
-        # -- per-push occupancy trajectory (initial SOURCE push included) ----
-        occ_after = array("l", [1])
-        prefix_peak = array("l", [1])
-        rows_by_partition: Dict[int, List[Tuple[int, float, int, int]]] = {}
-
-        doors_settled = 0
-        relaxations = 0
-        partitions_expanded = 0
-        private_pruned = 0
-        temporally_pruned = 0
-        pushes = 1
-        occupancy = 1
-        peak = 1
-
-        # Feasibility/pricing per the tree's semantics and TV-check kind —
-        # the identical closure the engines and the batch executor run, so
-        # the recorded trajectory is theirs float for float.
-        probe, probe_counters = make_edge_probe(
-            semantics,
-            kind,
-            graph.ati_bounds,
-            rep_seconds,
-            speed,
-            interval_at=self._store.interval_at if kind == 1 else None,
-        )
-
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source_node)]
-        dist[source_node] = 0.0
-        tie = 1
-
         if deadline is not None:
             # A recording run is a full-exhaustion search: refuse to start
             # one on an already-spent budget rather than discover it mid-run.
             deadline.check_now()
+        log = EventLog()
+        run_group(self._graph, self._store, self._speed, group, deadline, log=log)
+        tree = self._tree_from_log(group, log)
+        self.store_tree(group.cache_key, tree)
+        self.trees_built += 1
+        return tree
 
-        while heap:
-            if deadline is not None:
-                deadline.tick()
-            distance, entry_tie, node = heappop_local(heap)
-            pop_dist.append(distance)
-            pop_push.append(entry_tie)
-            occupancy -= 1
-            if settled[node] or distance > dist[node]:
-                # Stale pop: an event with no counter movement — but an event
-                # nonetheless (members count it in heap_pops).
-                cum_settled.append(doors_settled)
-                cum_relax.append(relaxations)
-                cum_pushes.append(pushes)
-                cum_parts.append(partitions_expanded)
-                cum_private.append(private_pruned)
-                cum_tpruned.append(temporally_pruned)
-                cum_ati.append(probe_counters[0])
-                cum_refresh.append(probe_counters[1])
-                cum_member.append(probe_counters[2])
-                continue
-            settled[node] = 1
-
-            if node == source_node:
-                partitions_expanded += 1
-                for door_idx in graph.leaveable_by_partition[source_pidx]:
-                    if door_floor[door_idx] != source_floor:
-                        continue
-                    leg = hypot(source_x - door_x[door_idx], source_y - door_y[door_idx])
-                    relaxations += 1
-                    leg = probe(door_idx, leg)
-                    if leg is None:
-                        temporally_pruned += 1
-                        continue
-                    if leg < dist[door_idx]:
-                        dist[door_idx] = leg
-                        prev_node[door_idx] = source_node
-                        prev_part[door_idx] = source_pidx
-                        heappush_local(heap, (leg, tie, door_idx))
-                        tie += 1
-                        pushes += 1
-                        occupancy += 1
-                        if occupancy > peak:
-                            peak = occupancy
-                        occ_after.append(occupancy)
-                        prefix_peak.append(peak)
-            else:
-                doors_settled += 1
-                door_distance = dist[node]
-                for partition_idx, is_private, edges in adjacency[node]:
-                    if is_private and partition_idx not in allowed_private:
-                        private_pruned += 1
-                        continue
-                    partitions_expanded += 1
-
-                    # The target-relax opportunity of this (door, partition)
-                    # expansion: a member targeting ``partition_idx`` would
-                    # push here, before the group's edge pushes.
-                    rows = rows_by_partition.get(partition_idx)
-                    if rows is None:
-                        rows = rows_by_partition[partition_idx] = []
-                    rows.append((node, door_distance, pushes, occupancy))
-
-                    for next_idx, leg in edges:
-                        if settled[next_idx]:
-                            continue
-                        candidate = door_distance + leg
-                        relaxations += 1
-                        candidate = probe(next_idx, candidate)
-                        if candidate is None:
-                            temporally_pruned += 1
-                            continue
-                        if candidate < dist[next_idx]:
-                            dist[next_idx] = candidate
-                            prev_node[next_idx] = node
-                            prev_part[next_idx] = partition_idx
-                            heappush_local(heap, (candidate, tie, next_idx))
-                            tie += 1
-                            pushes += 1
-                            occupancy += 1
-                            if occupancy > peak:
-                                peak = occupancy
-                            occ_after.append(occupancy)
-                            prefix_peak.append(peak)
-
-            cum_settled.append(doors_settled)
-            cum_relax.append(relaxations)
-            cum_pushes.append(pushes)
-            cum_parts.append(partitions_expanded)
-            cum_private.append(private_pruned)
-            cum_tpruned.append(temporally_pruned)
-            cum_ati.append(probe_counters[0])
-            cum_refresh.append(probe_counters[1])
-            cum_member.append(probe_counters[2])
-
-        # -- block-max index over the occupancy trajectory -------------------
+    def _tree_from_log(self, group, log: EventLog) -> CachedTree:
+        """Pack a recording run into the compact ``array`` form of a tree,
+        once, after the run."""
+        columns = list(zip(*log.events))
+        # The log samples counters before each pop; the tree indexes them by
+        # the state after each pop, so shift by one and close with the totals.
+        cumulative = [array("l", column[1:]) for column in columns[2:]]
+        for column, total in zip(cumulative, log.totals):
+            column.append(total)
+        # Heap occupancy after push ``p`` made during pop ``e`` is ``p - e``
+        # (``p + 1`` entries pushed, ``e + 1`` popped); the initial SOURCE
+        # push leaves one entry.
+        occupancies = [1]
+        pushed = 1
+        for event, total in enumerate(cumulative[2]):
+            if total != pushed:
+                occupancies += range(pushed - event, total - event)
+                pushed = total
+        prefix_peak = array("l")
+        peak = 0
+        for occupancy in occupancies:
+            if occupancy > peak:
+                peak = occupancy
+            prefix_peak.append(peak)
+        occ_after = array("l", occupancies)
         block_max = array("l")
         for start in range(0, len(occ_after), _BLOCK):
             block_max.append(max(occ_after[start : start + _BLOCK]))
 
+        source = group.source
         tree = CachedTree()
-        tree.kind = kind
-        tree.method_label = method_label
-        tree.semantics = semantics
-        tree.source_pidx = source_pidx
-        tree.source_x = source_x
-        tree.source_y = source_y
-        tree.source_floor = source_floor
-        tree.rep_seconds = rep_seconds
+        tree.kind = group.kind
+        tree.method_label = group.method_label
+        tree.semantics = group.semantics
+        tree.source_pidx = group.source_pidx
+        tree.source_x = source.x
+        tree.source_y = source.y
+        tree.source_floor = source.floor
+        tree.rep_seconds = group.rep_seconds
         tree.generation = self.generation
-        tree.dist = dist
-        tree.prev_node = prev_node
-        tree.prev_part = prev_part
-        tree.pop_dist = pop_dist
-        tree.pop_push = pop_push
-        tree.cum_settled = cum_settled
-        tree.cum_relax = cum_relax
-        tree.cum_pushes = cum_pushes
-        tree.cum_parts = cum_parts
-        tree.cum_private = cum_private
-        tree.cum_tpruned = cum_tpruned
-        tree.cum_ati = cum_ati
-        tree.cum_refresh = cum_refresh
-        tree.cum_member = cum_member
+        tree.dist = array("d", log.dist)
+        tree.prev_node = array("l", log.prev_node)
+        tree.prev_part = array("l", log.prev_part)
+        tree.pop_dist = array("d", columns[0])
+        tree.pop_push = array("l", columns[1])
+        (
+            tree.cum_settled,
+            tree.cum_relax,
+            tree.cum_pushes,
+            tree.cum_parts,
+            tree.cum_private,
+            tree.cum_tpruned,
+            tree.cum_ati,
+            tree.cum_refresh,
+            tree.cum_member,
+        ) = cumulative
         tree.occ_after = occ_after
         tree.prefix_peak = prefix_peak
         tree.block_max = block_max
-        tree.rows_by_partition = {
-            pidx: tuple(rows) for pidx, rows in rows_by_partition.items()
-        }
-        tree.total_pushes = pushes
-        tree.total_events = len(pop_dist)
+        tree.rows_by_partition = {pidx: tuple(rows) for pidx, rows in log.rows.items()}
+        tree.total_pushes = log.totals[2]
+        tree.total_events = len(tree.pop_dist)
         return tree
 
     # -- answering -------------------------------------------------------------
@@ -826,64 +604,22 @@ class SPTreeCache:
                 query=query,
                 method_label=tree.method_label,
                 found=True,
-                path=self._reconstruct(tree, query, win_node, win_part, best),
+                path=reconstruct_path(
+                    graph,
+                    self._speed,
+                    query,
+                    tree.method_label,
+                    tree.dist,
+                    tree.prev_node,
+                    tree.prev_part,
+                    win_node,
+                    win_part,
+                    best,
+                ),
                 length=best,
                 statistics=stats,
             ),
             self._speed,
-        )
-
-    def _reconstruct(
-        self, tree: CachedTree, query: ITSPQuery, win_node: int, win_part: int, length: float
-    ) -> IndoorPath:
-        """Predecessor-chain walk, arrival times stamped with the member's
-        own query second (the same floats the engines produce).  The path is
-        anchor-rooted, exactly like the engines' raw reconstruction —
-        ``semantics.finalise_result`` re-orients it afterwards."""
-        graph = self._graph
-        semantics = tree.semantics
-        anchor_point, goal_point = semantics.search_endpoints(query)
-        forward = semantics.forward
-        source_node = graph.door_count
-        hops: List[PathHop] = []
-        if win_node != source_node:
-            prev_node = tree.prev_node
-            prev_part = tree.prev_part
-            chain: List[Tuple[int, int]] = []
-            node = win_node
-            while node != source_node:
-                chain.append((node, prev_part[node]))
-                node = prev_node[node]
-            chain.reverse()
-
-            dist = tree.dist
-            door_ids = graph.door_ids
-            partition_ids = graph.partition_ids
-            query_seconds = query.query_time.seconds
-            speed = self._speed
-            from_seconds = TimeOfDay._from_seconds_unchecked
-            last_index = len(chain) - 1
-            for index, (node, via_partition) in enumerate(chain):
-                next_via = chain[index + 1][1] if index < last_index else win_part
-                offset = dist[node] / speed
-                arrival = from_seconds(query_seconds + offset if forward else query_seconds - offset)
-                hops.append(
-                    PathHop(
-                        door_ids[node],
-                        partition_ids[via_partition],
-                        partition_ids[next_via],
-                        dist[node],
-                        arrival,
-                    )
-                )
-
-        return IndoorPath(
-            source=anchor_point,
-            target=goal_point,
-            query_time=query.query_time,
-            hops=hops,
-            total_length=length,
-            method_label=tree.method_label,
         )
 
     # -- overlay-backed pruning ------------------------------------------------
@@ -940,17 +676,6 @@ class SPTreeCache:
             key = getattr(group, "cache_key", None)
             if key is None or self.peek(key) is not None:
                 continue
-            self.build_for_group(group)
+            self.build(group)
             built += 1
         return built
-
-    # -- timing helper ---------------------------------------------------------
-
-    def answer_timed(self, tree: CachedTree, query: ITSPQuery, target_pidx: int) -> QueryResult:
-        """:meth:`answer` with ``runtime_seconds`` measured around the call
-        (the single-query engine seam stamps its own; this is for callers
-        answering straight off the cache)."""
-        started = time.perf_counter()
-        result = self.answer(tree, query, target_pidx)
-        result.statistics.runtime_seconds = time.perf_counter() - started
-        return result

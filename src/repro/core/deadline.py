@@ -4,9 +4,9 @@ A production query service cannot let one oversized or stuck search pin a
 process: every admitted request carries a wall-clock budget, and the search
 itself must observe it.  :class:`SearchDeadline` is that budget as a value
 the Dijkstra loops can poll cheaply — the reference search
-(``ITSPQEngine._search``), the compiled search (``_search_compiled``), the
-batch executor's shared multi-target search (``BatchExecutor._run_group``)
-and the cache's recording run (``SPTreeCache._record_tree``) all call
+(``ITSPQEngine._search``) and the compiled search
+(:func:`repro.core.kernel.run_group`, which answers single queries, batch
+groups and the cache's recording runs alike) both call
 :meth:`SearchDeadline.tick` once per heap pop.
 
 Design constraints, in order:
@@ -15,8 +15,8 @@ Design constraints, in order:
   :class:`~repro.exceptions.DeadlineExceededError` out of the search; no
   result object is ever built from an interrupted run.  The engines and
   executors keep no cross-query mutable state that an abort could poison
-  (the batch arena is generation-stamped, the single-query searches allocate
-  per call), so the next query on the same engine is unaffected.
+  (both searches allocate their state per run), so the next query on the
+  same engine is unaffected.
 * **Cheap when armed, free when absent.**  The hot loops guard the call
   with ``if deadline is not None``; an armed deadline costs one integer
   decrement per pop and reads the clock only every ``check_interval`` pops
@@ -33,7 +33,7 @@ constructor services use per admitted query.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.exceptions import DeadlineExceededError
 

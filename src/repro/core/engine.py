@@ -41,24 +41,19 @@ import enum
 import heapq
 import itertools
 import time
-from math import hypot
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.constants import WALKING_SPEED_MPS
-from repro.core.batch import BatchExecutor
+from repro.core.batch import BatchExecutor, BatchGroup
 from repro.core.cache import CacheConfig, SPTreeCache
 from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.deadline import SearchDeadline
+from repro.core.kernel import run_group
 from repro.core.parallel import ExecutionReport, ParallelBatchExecutor, default_worker_count
 from repro.core.itgraph import ITGraph
 from repro.core.path import IndoorPath, PathHop
 from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
-from repro.core.semantics import (
-    NoWait,
-    derive_counters,
-    make_edge_probe,
-    make_reference_probe,
-)
+from repro.core.semantics import NoWait, make_reference_probe
 from repro.core.snapshot import CompiledSnapshotStore, GraphUpdater
 from repro.core.tvcheck import TVCheckStrategy, canonical_method, make_strategy
 from repro.exceptions import QueryError, UnknownEntityError
@@ -294,8 +289,11 @@ class ITSPQEngine:
         """Answer a pre-built :class:`~repro.core.query.ITSPQuery`.
 
         With the compiled fast path enabled (the default) the four built-in
-        methods run as an integer-label Dijkstra over the compiled index and
-        return bit-identical results to the reference search; an explicit
+        methods run as an integer-label Dijkstra over the compiled index —
+        the query is planned as a group of one and answered by the compiled
+        kernel (:func:`repro.core.kernel.run_group`), or replayed from the
+        SP-tree cache on a cached engine — and return bit-identical results
+        to the reference search; an explicit
         ``strategy`` always runs the reference search, since arbitrary
         strategies cannot be lowered.
 
@@ -320,13 +318,12 @@ class ITSPQEngine:
             method_name = canonical_method(_normalise_method(method))
             semantics.validate_method(method_name)
             if self._compiled_enabled:
-                self.ensure_compiled()
                 started = time.perf_counter()
-                result = None
-                if self._cache is not None:
-                    result = self._cached_compiled(itsp_query, method_name, deadline)
-                if result is None:
-                    result = self._search_compiled(itsp_query, method_name, deadline)
+                group = self._plan_one(itsp_query, method_name)
+                if self._cache is None:
+                    result = self._search_one(group, deadline)
+                else:
+                    result = self._cached_one(group, deadline)
                 result.statistics.runtime_seconds = time.perf_counter() - started
                 return result
             if isinstance(semantics, NoWait):
@@ -382,53 +379,45 @@ class ITSPQEngine:
         groups = self.batch_executor().planner.plan(list(queries), method_name)
         return self._cache.warm(groups)
 
-    def _cached_compiled(
-        self,
-        itsp_query: ITSPQuery,
-        method_name: str,
-        deadline: Optional[SearchDeadline] = None,
-    ) -> Optional[QueryResult]:
-        """Answer one query from the cache, or ``None`` to fall through to
-        the fresh compiled search (key not admitted yet)."""
-        cache = self._cache
-        graph = self._compiled_graph
-        semantics = itsp_query.semantics
-        kind, method_label = COMPILED_KINDS[method_name]
-        anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-        try:
-            source_pidx = graph.locate_index(anchor_point)
-            target_pidx = graph.locate_index(goal_point)
-        except UnknownEntityError as exc:
-            raise QueryError(f"query endpoint outside the indoor space: {exc}") from exc
-        query_seconds = itsp_query.query_time.seconds
-        if isinstance(semantics, NoWait):
+    def _plan_one(self, itsp_query: ITSPQuery, method_name: str) -> BatchGroup:
+        """Plan one query as a group of one (endpoint location included)."""
+        return self._executor().planner.plan((itsp_query,), method_name)[0]
+
+    def _search_one(
+        self, group: BatchGroup, deadline: Optional[SearchDeadline] = None
+    ) -> QueryResult:
+        """Answer a group of one with the compiled kernel, no cache."""
+        return run_group(
+            self._compiled_graph,
+            self._compiled_store,
+            self._walking_speed,
+            group,
+            deadline,
+            partition_once=self._partition_once,
+        )[0]
+
+    def _cached_one(
+        self, group: BatchGroup, deadline: Optional[SearchDeadline] = None
+    ) -> QueryResult:
+        """Answer a group of one on a cached engine: the opt-in overlay
+        pruning, then the batch executor's lookup → promote → record →
+        replay sequence (a key not admitted yet runs the kernel)."""
+        _order, query, target_pidx = group.members[0]
+        if isinstance(query.semantics, NoWait):
             # The overlay-based unreachability pruning is proven only for the
             # paper's semantics (waiting can cross a component boundary in
             # time), so the other semantics always consult a tree.
-            pruned = cache.prune_result(
-                itsp_query, method_label, kind, source_pidx, target_pidx, query_seconds
+            pruned = self._cache.prune_result(
+                query,
+                group.method_label,
+                group.kind,
+                group.source_pidx,
+                target_pidx,
+                query.query_time.seconds,
             )
             if pruned is not None:
                 return pruned
-        key, allowed = cache.plan_key(
-            kind, anchor_point, query_seconds, source_pidx, target_pidx, semantics
-        )
-        tree = cache.lookup(key)
-        if tree is None:
-            if not cache.should_build(key):
-                return None
-            tree = cache.build(
-                key,
-                kind,
-                method_label,
-                anchor_point,
-                source_pidx,
-                allowed,
-                query_seconds,
-                semantics,
-                deadline=deadline,
-            )
-        return cache.answer(tree, itsp_query, target_pidx)
+        return self._executor().run_planned((group,), deadline)[0][1]
 
     def answer_from_cache(
         self,
@@ -450,41 +439,35 @@ class ITSPQEngine:
         cache = self._cache
         if cache is None:
             raise QueryError("cache replay requires an engine cache (cache=... option)")
-        semantics = itsp_query.semantics
         method_name = canonical_method(_normalise_method(method))
-        semantics.validate_method(method_name)
-        graph = self._compiled_graph
-        kind, _method_label = COMPILED_KINDS[method_name]
-        anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-        try:
-            source_pidx = graph.locate_index(anchor_point)
-            target_pidx = graph.locate_index(goal_point)
-        except UnknownEntityError as exc:
-            raise QueryError(f"query endpoint outside the indoor space: {exc}") from exc
-        key, _allowed = cache.plan_key(
-            kind, anchor_point, itsp_query.query_time.seconds, source_pidx, target_pidx, semantics
-        )
-        tree = cache.lookup(key)
+        group = self._plan_one(itsp_query, method_name)
+        tree = cache.lookup(group.cache_key)
         if tree is None:
             return None
         started = time.perf_counter()
-        result = cache.answer(tree, itsp_query, target_pidx)
+        result = cache.answer(tree, itsp_query, group.members[0][2])
         result.statistics.runtime_seconds = time.perf_counter() - started
         return result
 
     def batch_executor(self) -> BatchExecutor:
         """The engine's :class:`~repro.core.batch.BatchExecutor` (built lazily).
 
-        The executor shares the engine's compiled index, snapshot store and
-        walking speed, and reuses one search arena across calls, so repeated
-        batches pay no per-batch setup beyond planning.
+        The executor shares the engine's compiled index, snapshot store,
+        walking speed and SP-tree cache, so repeated batches pay no
+        per-batch setup beyond planning.
         """
         if not self._compiled_enabled:
             raise QueryError("batch execution requires the compiled fast path")
         if self._partition_once:
             raise QueryError("batch execution requires the standard expansion (partition_once=False)")
-        self.ensure_compiled()
+        return self._executor()
+
+    def _executor(self) -> BatchExecutor:
+        """The batch executor without the public accessor's mode checks:
+        single queries plan through its planner on every compiled engine,
+        the ``partition_once`` study mode included."""
         if self._batch_executor is None:
+            self.ensure_compiled()
             self._batch_executor = BatchExecutor(
                 self._compiled_graph,
                 self._compiled_store,
@@ -571,19 +554,20 @@ class ITSPQEngine:
         With ``batch=True`` (the default on a compiled engine) the workload
         runs through the :class:`~repro.core.batch.BatchExecutor`: queries
         are planned into common-source groups, each answered by one
-        multi-target search over the shared arena.  Results are returned in
+        multi-target search.  Results are returned in
         input order and are bit-identical to sequential ``run`` calls (the
         parity suite enforces this); only ``runtime_seconds`` differs in
         meaning — it is the group's wall time amortised over its members.
 
         ``workers=N`` with ``N > 1`` additionally fans the planned groups
-        out over a pool of worker processes (one search arena each, the
+        out over a pool of worker processes (one batch executor each, the
         compiled index handed off in its serialised form); the merged
         results stay bit-identical to sequential execution.  The pool is
         cached on the engine — call :meth:`close` when done.
 
         ``batch=False`` (and any non-compiled engine) keeps the sequential
-        one-search-per-query path, which serves as the batch parity oracle.
+        one-search-per-query path: each query is planned as a group of one
+        and runs the same kernel, bypassing any cache.
         Either way the method/strategy resolution is hoisted out of the
         per-query loop — it is resolved exactly once per call.
 
@@ -638,12 +622,10 @@ class ITSPQEngine:
                     elapsed_seconds=time.perf_counter() - started_call,
                 )
                 return results
-            self.ensure_compiled()
             results = []
             for query in queries:
-                query.semantics.validate_method(method_name)
                 started = time.perf_counter()
-                result = self._search_compiled(query, method_name, deadline)
+                result = self._search_one(self._plan_one(query, method_name), deadline)
                 result.statistics.runtime_seconds = time.perf_counter() - started
                 results.append(result)
         else:
@@ -820,295 +802,6 @@ class ITSPQEngine:
                 length=_INFINITY,
                 statistics=stats,
             )
-        )
-
-    # -- the compiled search (integer-label fast path) ---------------------------------------
-
-    #: canonical method name -> (dispatch kind, paper label); shared with the
-    #: batch executor's multi-target search (see ``repro.core.compiled``).
-    _COMPILED_KINDS = COMPILED_KINDS
-
-    def _search_compiled(
-        self,
-        itsp_query: ITSPQuery,
-        method_name: str,
-        deadline: Optional[SearchDeadline] = None,
-    ) -> QueryResult:
-        """Algorithm 1 over the compiled integer-indexed graph.
-
-        Same semantics, same counters, same tie-breaking as :meth:`_search` —
-        the compiled adjacency preserves the reference search's iteration
-        order, so results (paths, lengths, statistics) are bit-identical.
-        The hot loop touches only list-indexed floats and ints: no string
-        dict probes, no ``frozenset`` views, no ``TimeOfDay`` allocations.
-
-        Temporal feasibility/pricing is delegated to the probe closure from
-        :func:`repro.core.semantics.make_edge_probe` — the single source of
-        truth for the four TV-check methods and the non-default semantics —
-        so a relaxation costs one call plus one ``bisect``/bit test.  The
-        check-before-relax ordering of Algorithm 1 is preserved.
-        """
-        compiled_graph = self._compiled_graph
-        stats = SearchStatistics()
-        semantics = itsp_query.semantics
-        anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-
-        try:
-            source_pidx = compiled_graph.locate_index(anchor_point)
-            target_pidx = compiled_graph.locate_index(goal_point)
-        except UnknownEntityError as exc:
-            raise QueryError(f"query endpoint outside the indoor space: {exc}") from exc
-
-        allowed_private = {source_pidx, target_pidx}
-        kind, method_label = self._COMPILED_KINDS[method_name]
-
-        query_seconds = itsp_query.query_time.seconds
-        speed = self._walking_speed
-        probe, probe_counters = make_edge_probe(
-            semantics,
-            kind,
-            compiled_graph.ati_bounds,
-            query_seconds,
-            speed,
-            interval_at=self._compiled_store.interval_at if kind == 1 else None,
-        )
-        partition_once = self._partition_once
-        visited = bytearray(compiled_graph.partition_count) if partition_once else None
-
-        door_count = compiled_graph.door_count
-        source_node = door_count
-        target_node = door_count + 1
-        dist: List[float] = [_INFINITY] * (door_count + 2)
-        dist[source_node] = 0.0
-        prev_node: List[int] = [-1] * (door_count + 2)
-        prev_part: List[int] = [-1] * (door_count + 2)
-        settled = bytearray(door_count + 2)
-        adjacency = compiled_graph.adjacency
-        door_x = compiled_graph.door_x
-        door_y = compiled_graph.door_y
-        door_floor = compiled_graph.door_floor
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        source_x, source_y, source_floor = anchor_point.x, anchor_point.y, anchor_point.floor
-        target_x, target_y, target_floor = goal_point.x, goal_point.y, goal_point.floor
-
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source_node)]
-        tie = 1
-        heap_pushes = 1
-        heap_pops = 0
-        heap_size = 1
-        # The initial SOURCE push counts toward the peak, like every other
-        # push (both engines track this uniformly).
-        peak_heap = 1
-        doors_settled = 0
-        relaxations = 0
-        partitions_expanded = 0
-        private_pruned = 0
-        temporally_pruned = 0
-
-        # A door-free direct path when both endpoints share a partition.
-        if source_pidx == target_pidx and source_floor == target_floor:
-            direct = hypot(source_x - target_x, source_y - target_y)
-            dist[target_node] = direct
-            prev_node[target_node] = source_node
-            prev_part[target_node] = source_pidx
-            heappush(heap, (direct, tie, target_node))
-            tie += 1
-            heap_pushes += 1
-            heap_size += 1
-            if heap_size > peak_heap:
-                peak_heap = heap_size
-
-        found_distance = _INFINITY
-        found = False
-        while heap:
-            if deadline is not None:
-                deadline.tick()
-            distance, _, node = heappop(heap)
-            heap_pops += 1
-            heap_size -= 1
-            if settled[node] or distance > dist[node]:
-                continue
-            settled[node] = 1
-
-            if node == target_node:
-                found = True
-                found_distance = distance
-                break
-
-            if node == source_node:
-                partitions_expanded += 1
-                for door_idx in compiled_graph.leaveable_by_partition[source_pidx]:
-                    if door_floor[door_idx] != source_floor:
-                        continue
-                    leg = hypot(source_x - door_x[door_idx], source_y - door_y[door_idx])
-                    relaxations += 1
-                    # Feasibility/pricing per the query's semantics and
-                    # TV-check method: see make_edge_probe, the single source
-                    # of truth (it also documents which probe counters are
-                    # counted live and which are derived from ``relaxations``).
-                    cost = probe(door_idx, leg)
-                    if cost is None:
-                        temporally_pruned += 1
-                        continue
-                    if cost < dist[door_idx]:
-                        dist[door_idx] = cost
-                        prev_node[door_idx] = source_node
-                        prev_part[door_idx] = source_pidx
-                        heappush(heap, (cost, tie, door_idx))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-                continue
-
-            # ``node`` is a door with a settled (shortest) distance label.
-            doors_settled += 1
-            door_distance = dist[node]
-            for partition_idx, is_private, edges in adjacency[node]:
-                if partition_once and visited[partition_idx]:
-                    continue
-                if is_private and partition_idx not in allowed_private:
-                    private_pruned += 1
-                    continue
-                if partition_once:
-                    visited[partition_idx] = 1
-                partitions_expanded += 1
-
-                if partition_idx == target_pidx and door_floor[node] == target_floor:
-                    candidate = door_distance + hypot(
-                        target_x - door_x[node], target_y - door_y[node]
-                    )
-                    if candidate < dist[target_node]:
-                        dist[target_node] = candidate
-                        prev_node[target_node] = node
-                        prev_part[target_node] = partition_idx
-                        heappush(heap, (candidate, tie, target_node))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-                    if partition_once:
-                        # Lines 20-24: a door adjacent to the target partition
-                        # only relaxes p_t in the literal algorithm.
-                        continue
-
-                for next_idx, leg in edges:
-                    if settled[next_idx]:
-                        continue
-                    candidate = door_distance + leg
-                    relaxations += 1
-                    cost = probe(next_idx, candidate)
-                    if cost is None:
-                        temporally_pruned += 1
-                        continue
-                    if cost < dist[next_idx]:
-                        dist[next_idx] = cost
-                        prev_node[next_idx] = node
-                        prev_part[next_idx] = partition_idx
-                        heappush(heap, (cost, tie, next_idx))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-
-        stats.heap_pushes = heap_pushes
-        stats.heap_pops = heap_pops
-        stats.peak_heap_size = peak_heap
-        stats.doors_settled = doors_settled
-        stats.relaxations = relaxations
-        stats.partitions_expanded = partitions_expanded
-        stats.private_partitions_pruned = private_pruned
-        stats.temporally_pruned_doors = temporally_pruned
-        stats.ati_probes = probe_counters[0]
-        stats.snapshot_refreshes = probe_counters[1]
-        stats.membership_checks = probe_counters[2]
-        derive_counters(semantics, kind, stats)
-
-        if not found:
-            return semantics.finalise_result(
-                QueryResult(
-                    query=itsp_query,
-                    method_label=method_label,
-                    found=False,
-                    path=None,
-                    length=_INFINITY,
-                    statistics=stats,
-                ),
-                speed,
-            )
-
-        path = self._reconstruct_compiled(
-            itsp_query, dist, prev_node, prev_part, source_node, target_node, method_label
-        )
-        return semantics.finalise_result(
-            QueryResult(
-                query=itsp_query,
-                method_label=method_label,
-                found=True,
-                path=path,
-                length=found_distance,
-                statistics=stats,
-            ),
-            speed,
-        )
-
-    def _reconstruct_compiled(
-        self,
-        itsp_query: ITSPQuery,
-        dist: List[float],
-        prev_node: List[int],
-        prev_part: List[int],
-        source_node: int,
-        target_node: int,
-        method_label: str,
-    ) -> IndoorPath:
-        """Integer-label twin of :meth:`_reconstruct` (same hops, same floats)."""
-        compiled_graph = self._compiled_graph
-        door_ids = compiled_graph.door_ids
-        partition_ids = compiled_graph.partition_ids
-        semantics = itsp_query.semantics
-        anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-        forward = semantics.forward
-        query_seconds = itsp_query.query_time.seconds
-        speed = self._walking_speed
-        from_seconds = TimeOfDay._from_seconds_unchecked
-
-        chain: List[Tuple[int, int]] = []
-        node = target_node
-        while node != source_node:
-            chain.append((node, prev_part[node]))
-            node = prev_node[node]
-        chain.reverse()
-
-        hops: List[PathHop] = []
-        for index, (node, via_partition) in enumerate(chain):
-            if node == target_node:
-                break
-            next_via = chain[index + 1][1]
-            offset = dist[node] / speed
-            arrival = from_seconds(query_seconds + offset if forward else query_seconds - offset)
-            hops.append(
-                PathHop(
-                    door_ids[node],
-                    partition_ids[via_partition],
-                    partition_ids[next_via],
-                    dist[node],
-                    arrival,
-                )
-            )
-
-        return IndoorPath(
-            source=anchor_point,
-            target=goal_point,
-            query_time=itsp_query.query_time,
-            hops=hops,
-            total_length=dist[target_node],
-            method_label=method_label,
         )
 
     # -- expansion helpers ---------------------------------------------------------------------

@@ -18,11 +18,11 @@ Process model
   value object inside the pickled :class:`~repro.core.batch.BatchGroup` —
   so workers answer wait-tolerant, latest-departure and time-window queries
   without any semantics-specific plumbing in this module.
-* **Arena per worker.**  Each worker process owns one
+* **Executor per worker.**  Each worker process owns one
   :class:`~repro.core.batch.BatchExecutor` — and therefore one
-  generation-stamped :class:`~repro.core.batch.SearchArena` and one
   :class:`~repro.core.snapshot.CompiledSnapshotStore` — reused across every
-  chunk and every ``run_batch`` call it serves.  Nothing is shared between
+  chunk and every ``run_batch`` call it serves; the compiled kernel
+  allocates its search state per group run.  Nothing is shared between
   workers at search time, so there are no locks on the hot path.
 * **Serialised index hand-off.**  Workers rehydrate the compiled index from
   the :mod:`repro.io.compiled_codec` payload (one compact ``bytes`` blob)
@@ -148,7 +148,7 @@ def _register_live_executor(executor: "ParallelBatchExecutor") -> None:
 def _init_worker(
     payload: bytes, walking_speed: float, fault_plan, generation: int, cache_config=None
 ) -> None:
-    """Pool initializer: rehydrate the compiled index and build the arena.
+    """Pool initializer: rehydrate the compiled index and build the executor.
 
     Runs once per worker process.  Workers never see IT-Graph objects — the
     codec payload is the only hand-off — so startup is one flat decode
@@ -180,8 +180,8 @@ def _run_chunk(
 ) -> List[Tuple[int, QueryResult]]:
     """Execute one dispatched chunk on this worker's executor.
 
-    A pure function of ``groups`` (the arena is generation-stamped, so prior
-    chunks leave no trace): re-running a lost chunk — on any worker, any
+    A pure function of ``groups`` (search state is allocated per group run,
+    so prior chunks leave no trace on the answers): re-running a lost chunk — on any worker, any
     attempt — reproduces bit-identical results, which is what makes retries
     and duplicated deliveries harmless.
     """

@@ -211,7 +211,7 @@ class IntervalBitsets:
     def index_at(self, instant_seconds: float) -> int:
         """Index of the constant-topology interval containing the instant.
 
-        The arena-friendly primitive shared by :meth:`bitset_at`, the
+        The allocation-free primitive shared by :meth:`bitset_at`, the
         per-engine :class:`CompiledSnapshotStore` and the batch planner: one
         ``bisect`` on raw floats, no object construction.
         """

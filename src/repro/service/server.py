@@ -26,9 +26,10 @@ one micro-batch through the :class:`~repro.service.degradation.DegradationLadder
 the batch runs on the highest healthy rung — parallel pool, in-process
 batch, sequential compiled, cache-replay — descending on rung failure, with
 outcomes scored into the rungs' circuit breakers.  Engines are synchronous
-and their search arenas are **not** thread-safe, so every rung execution
-runs on a worker thread under a per-venue lock; concurrency comes from
-batching, not from racing searches.
+and their shared state — the SP-tree cache's LRU and counters, the
+single-caller parallel executor — is **not** thread-safe, so every rung
+execution runs on a worker thread under a per-venue lock; concurrency comes
+from batching, not from racing searches.
 
 Deadlines compose with batching conservatively: a micro-batch's shared
 budget is the *largest* remaining member budget (no budget at all if any
@@ -76,6 +77,7 @@ from repro.service.degradation import (
     DegradationLadder,
 )
 from repro.service.metrics import ServiceMetrics
+from repro.service.wire import read_request
 
 _REASONS = {
     200: "OK",
@@ -111,8 +113,10 @@ class ServiceConfig:
         Budget applied to requests that do not send ``deadline_ms``;
         ``None`` leaves them unbounded.
     client_timeout_seconds:
-        Reading a request (headers + body) longer than this answers 408 —
-        the slow-client guard.
+        A request not fully received (headers + body) this long after its
+        first byte answers 408 — the slow-client guard; a keep-alive
+        connection idle this long between requests is closed without a
+        reply.
     drain_timeout_seconds:
         How long :meth:`ITSPQService.aclose` waits for in-flight handlers
         after the batch queue empties.
@@ -214,9 +218,10 @@ class ITSPQService:
             raise ValueError("the service needs at least one venue engine")
         self._engines: Dict[str, ITSPQEngine] = dict(engines)
         self._config = config if config is not None else ServiceConfig()
-        # One lock per venue: the search arenas are not thread-safe, and the
-        # supervised parallel executor is single-caller by design, so every
-        # rung execution of a venue is serialised across worker threads.
+        # One lock per venue: the SP-tree cache's LRU and counters are not
+        # thread-safe, and the supervised parallel executor is single-caller
+        # by design, so every rung execution of a venue is serialised across
+        # worker threads.
         self._locks: Dict[str, threading.Lock] = {name: threading.Lock() for name in self._engines}
         rungs: List[str] = []
         if self._config.workers > 1:
@@ -354,9 +359,10 @@ class ITSPQService:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        timeout=self._config.client_timeout_seconds,
+                    request = await read_request(
+                        reader,
+                        self._config.max_body_bytes,
+                        self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
                     self._metrics.received += 1
@@ -371,7 +377,7 @@ class ITSPQService:
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return  # disconnect or garbage framing: nothing to answer
                 if request is None:
-                    return  # clean EOF between requests (keep-alive close)
+                    return  # EOF or idle between requests: close without a reply
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:
@@ -383,34 +389,6 @@ class ITSPQService:
                 await writer.wait_closed()
             except Exception:
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) < 3:
-            raise ConnectionError("malformed request line")
-        http_method, path = parts[0].upper(), parts[1]
-        length = 0
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError as exc:
-                        raise ConnectionError("malformed content-length") from exc
-        if length < 0 or length > self._config.max_body_bytes:
-            raise ConnectionError("unacceptable content-length")
-        body = await reader.readexactly(length) if length else b""
-        return http_method, path, body
 
     async def _respond(
         self,

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
+from repro.service.wire import read_request
 
 _REASONS = {
     200: "OK",
@@ -144,7 +145,9 @@ class ShardRouterConfig:
         Proxied requests in flight to one shard at once; excess sheds with
         a typed ``429`` at the router, before the shard sees any bytes.
     client_timeout_seconds:
-        Reading a client request longer than this answers ``408``.
+        A client request not fully received this long after its first byte
+        answers ``408``; a keep-alive connection idle this long between
+        requests is closed without a reply.
     shard_request_timeout_seconds:
         A proxied request unanswered by its shard within this answers
         ``504`` and the connection is discarded (never pooled again).
@@ -676,9 +679,10 @@ class ShardRouter:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        timeout=self._config.client_timeout_seconds,
+                    request = await read_request(
+                        reader,
+                        self._config.max_body_bytes,
+                        self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
                     self._metrics.received += 1
@@ -693,7 +697,7 @@ class ShardRouter:
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return
                 if request is None:
-                    return
+                    return  # EOF or idle between requests: close without a reply
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:
@@ -705,34 +709,6 @@ class ShardRouter:
                 await writer.wait_closed()
             except Exception:
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) < 3:
-            raise ConnectionError("malformed request line")
-        http_method, path = parts[0].upper(), parts[1]
-        length = 0
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError as exc:
-                        raise ConnectionError("malformed content-length") from exc
-        if length < 0 or length > self._config.max_body_bytes:
-            raise ConnectionError("unacceptable content-length")
-        body = await reader.readexactly(length) if length else b""
-        return http_method, path, body
 
     async def _respond_raw(
         self, writer: asyncio.StreamWriter, status: int, body: bytes, keep_alive: bool = True

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from test_compiled_parity import METHODS, assert_parity
 
-from repro.core.batch import BatchExecutor, SearchArena
+from repro.core.batch import BatchExecutor
 from repro.core.engine import ITSPQEngine
 from repro.core.query import ITSPQuery
 from repro.datasets.simple_venues import build_corridor_venue, build_two_room_venue
@@ -258,27 +258,6 @@ class TestSequentialFallbacks:
     def test_executor_is_cached_on_engine(self, example_itgraph):
         engine = ITSPQEngine(example_itgraph)
         assert engine.batch_executor() is engine.batch_executor()
-
-
-class TestSearchArena:
-    def test_generation_reset_and_growth(self):
-        arena = SearchArena(4)
-        generation = arena.begin_run(4)
-        arena.dist[2] = 7.5
-        arena.label_stamp[2] = generation
-        assert arena.begin_run(4) == generation + 1
-        assert arena.label_stamp[2] != arena.generation  # stale without clearing
-        capacity = arena.capacity
-        arena.begin_run(capacity + 1)
-        assert arena.capacity >= capacity + 1
-        assert len(arena.dist) == arena.capacity
-
-    def test_heap_cleared_between_runs(self):
-        arena = SearchArena(2)
-        arena.begin_run(2)
-        arena.heap.append((1.0, 0, 0))
-        arena.begin_run(2)
-        assert arena.heap == []
 
 
 class TestExecutorDirectUse:

@@ -344,3 +344,37 @@ class TestOverlayPruning:
             example_itgraph, example_queries, CacheConfig(mode="eager", precompute=True)
         )
         assert engine.cache_stats["pruned"] == 0
+
+
+class TestReferenceAnchoredParity:
+    """Multi-member batch groups and cache replay against the object-level
+    reference engine directly.  The suites above compare against compiled
+    ``run``, which runs the same compiled kernel as the paths under test;
+    this anchors both paths on the independent oracle instead."""
+
+    @pytest.mark.parametrize(
+        "itgraph_fixture, queries_fixture",
+        [("example_itgraph", "example_queries"), ("tiny_mall_itgraph", "tiny_mall_queries")],
+    )
+    def test_batch_groups_and_cache_replay_match_the_reference(
+        self, request, itgraph_fixture, queries_fixture
+    ):
+        itgraph = request.getfixturevalue(itgraph_fixture)
+        queries = request.getfixturevalue(queries_fixture)
+        reference = ITSPQEngine(itgraph, compiled=False)
+        engine = ITSPQEngine(itgraph)
+        cached = ITSPQEngine(itgraph, cache=CacheConfig(mode="eager", max_entries=1 << 16))
+        for method in METHODS:
+            expected = [reference.run(query, method=method) for query in queries]
+
+            groups = engine.batch_executor().planner.plan(queries, method)
+            assert max(group.size for group in groups) > 1
+            for oracle, result in zip(expected, engine.run_batch(queries, method=method)):
+                assert_parity(oracle, result)
+
+            for query in queries:
+                cached.run(query, method=method)  # first pass records the trees
+            hits = cached.cache.hits
+            for oracle, query in zip(expected, queries):
+                assert_parity(oracle, cached.run(query, method=method))
+            assert cached.cache.hits - hits == len(queries)  # second pass: all replay

@@ -11,12 +11,15 @@ The faults (all deterministic, no timing races):
   heals through the half-open probe on an injected clock (no sleeping);
 * a queue flood — every request either answers 200 bit-identically or is
   shed with a typed 429, never a hang or a corrupt answer;
-* a slow client — a typed 408, and the service stays healthy for others.
+* a slow client — a typed 408, and the service stays healthy for others;
+* an idle keep-alive client — the connection closes without a reply (a
+  408 nobody asked for would be read as the answer to its next request).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -31,7 +34,7 @@ from repro.service.degradation import (
 )
 from repro.testing import FlakyRung, drip_feed_request, flood_requests, sigkill_mid_request_plan
 
-from tests._service_http import assert_matches_oracle, get, post_query, query_body
+from tests._service_http import assert_matches_oracle, get, post_query, query_body, raw_request
 from tests.test_deadline import FakeClock
 
 
@@ -289,6 +292,41 @@ class TestSlowClient:
             drip_status, _ = await stalled
             assert drip_status == 408
             assert service.metrics.client_timeouts == 1
+            status, _ = await get(service.host, service.port, "/readyz")
+            assert status == 200
+
+        run_service_test(service, body)
+
+    def test_idle_keep_alive_connection_closes_without_a_408(
+        self, example_itgraph, example_points, oracle
+    ):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        service = ITSPQService(
+            {"example": ITSPQEngine(example_itgraph)},
+            ServiceConfig(batch_window_ms=0.0, client_timeout_seconds=0.2),
+        )
+
+        async def body(service):
+            reader, writer = await asyncio.open_connection(service.host, service.port)
+            try:
+                status, payload = await raw_request(
+                    service.host,
+                    service.port,
+                    "POST",
+                    "/query",
+                    json.dumps(query_body(p3, p4)).encode(),
+                    reader=reader,
+                    writer=writer,
+                )
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+                # Idle past the client timeout: the service hangs up without
+                # writing anything, so the client sees EOF, not a 408.
+                await asyncio.sleep(0.5)
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            finally:
+                writer.close()
+            assert service.metrics.client_timeouts == 0
             status, _ = await get(service.host, service.port, "/readyz")
             assert status == 200
 

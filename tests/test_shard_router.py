@@ -12,6 +12,7 @@ payload: the parity oracle shares bytes, not just code, with the shards.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -346,3 +347,48 @@ class TestFailureIsolationAndRespawn:
             two_shard_router(payload_files, respawn_backoff_base=0.2, respawn_backoff_cap=2.0),
             body,
         )
+
+
+class TestIdleConnections:
+    def test_idle_connections_close_without_a_408_on_both_hops(
+        self, payload_files, oracle_engine, example_points
+    ):
+        """An idle client connection closes without a reply, and so does a
+        pooled router→shard connection that the shard times out: the next
+        proxied query retries on a fresh connection instead of reading an
+        unsolicited 408 as its answer."""
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = oracle_engine.query(p3, p4, "9:00")
+        document = query_body(p3, p4, venue="a")
+        # Past the router's client timeout (0.2 s below) and the shard
+        # workers' default one (5 s).
+        idle_seconds = 5.5
+
+        async def body(router):
+            reader, writer = await asyncio.open_connection(router.host, router.port)
+            try:
+                status, payload = await raw_request(
+                    router.host,
+                    router.port,
+                    "POST",
+                    "/query",
+                    json.dumps(document).encode(),
+                    reader=reader,
+                    writer=writer,
+                )
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+                await asyncio.sleep(idle_seconds)
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            finally:
+                writer.close()
+            status, payload = await post_query(router.host, router.port, document)
+            assert status == 200, payload
+            assert_matches_oracle(payload, oracle)
+            status, metrics = await get(router.host, router.port, "/metrics")
+            assert status == 200
+            assert metrics["router"]["client_timeouts"] == 0
+            assert metrics["aggregate"]["client_timeouts"] == 0
+            assert metrics["router"]["proxy_failures"] == 0
+
+        run_router_test(two_shard_router(payload_files, client_timeout_seconds=0.2), body)
