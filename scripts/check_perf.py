@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf gate: compiled beats reference, batch beats sequential, parallel agrees.
+"""Perf gate: compiled beats reference, batch beats sequential, every tier agrees.
 
 Intended for CI/pre-merge use, on the paper's running-example floorplan
 (Figure 1 / Table I):
@@ -32,13 +32,6 @@ Intended for CI/pre-merge use, on the paper's running-example floorplan
    ``SearchStatistics`` counter.  This is the cross-tier contract of the
    pluggable-semantics kernel (:mod:`repro.core.semantics`): one probe
    closure serves every tier, so a drift between tiers is a kernel bug.
-5. **Parallel gates** (``--workers N``, N > 1) — run the same fan-out
-   workload through the :class:`~repro.core.parallel.ParallelBatchExecutor`
-   and fail on any disagreement with the sequential engine (results must be
-   bit-identical including statistics).  Throughput is gated only when
-   ``--min-parallel-speedup`` is above zero: parallel speedup depends on the
-   host's core count, so CI keeps it correctness-only (like the relaxed
-   batch ratio) while dedicated multi-core hardware can enforce a floor.
 
 Every check runs to completion and the script always prints one summary
 table covering all of them, so a CI log shows every regression at once
@@ -46,16 +39,11 @@ instead of stopping at the first failed gate; the exit status is non-zero
 when any check failed.  A gate that *crashes* (rather than measuring a
 regression) is reported the same way — one ``FAIL`` row carrying a one-line
 ``ExceptionType: message`` diagnosis instead of a traceback — so the
-summary table stays the single place to read the outcome.  The parallel
-gates additionally assert execution *health*: the run's
-:class:`~repro.core.parallel.ExecutionReport` must be clean (zero retries,
-zero fallbacks, zero respawns), so a pool that silently limps through on
-its degradation ladder fails the gate even though its answers are exact.
+summary table stays the single place to read the outcome.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_perf.py
-    PYTHONPATH=src python scripts/check_perf.py --workers 2
 """
 
 from __future__ import annotations
@@ -89,7 +77,7 @@ METHODS = ("ITG/S", "ITG/A")
 CACHE_METHODS = ("ITG/S", "ITG/A", "static", "query-time")
 QUERY_TIMES = ("6:30", "9:00", "12:00", "15:55", "21:00")
 
-#: Statistics fields the parallel gate compares (everything but runtime).
+#: Statistics fields the cache and semantics gates compare (everything but runtime).
 _STAT_KEYS = SearchStatistics.COUNTER_FIELDS
 
 #: Every temporal semantics the cross-tier semantics gate covers.
@@ -329,63 +317,6 @@ def check_semantics(report: GateReport, itgraph, queries) -> None:
         )
 
 
-def check_parallel(
-    report: GateReport, compiled_engine, batch_queries, repetitions, workers, min_speedup
-) -> None:
-    for method in METHODS:
-        sequential_results = compiled_engine.run_batch(batch_queries, method=method, batch=False)
-        parallel_results = compiled_engine.run_batch(batch_queries, method=method, workers=workers)
-        disagreements = 0
-        for seq, par in zip(sequential_results, parallel_results):
-            if seq.found != par.found or seq.length != par.length:
-                disagreements += 1
-                continue
-            if any(
-                getattr(seq.statistics, key) != getattr(par.statistics, key)
-                for key in _STAT_KEYS
-            ):
-                disagreements += 1
-        report.record(
-            f"{method} parallel({workers})/sequential agreement",
-            disagreements == 0,
-            f"{disagreements} disagreements on {len(batch_queries)} queries",
-            "0 disagreements (incl. statistics)",
-        )
-        # The agreement run's ExecutionReport: exact answers are necessary
-        # but not sufficient — the pool must also have stayed on its top
-        # rung (no retries, no respawns, no in-process fallbacks).
-        health = compiled_engine.last_execution_report
-        report.record(
-            f"{method} parallel({workers}) execution health",
-            health is not None and health.clean,
-            health.summary() if health is not None else "no execution report",
-            "clean (0 retries/respawns/fallbacks)",
-        )
-
-        batched_best = parallel_best = float("inf")
-        for _ in range(repetitions):
-            batched = run_batch_query_set(
-                compiled_engine, batch_queries, method, repetitions=1, warmup=0, batch=True
-            )
-            parallel = run_batch_query_set(
-                compiled_engine,
-                batch_queries,
-                method,
-                repetitions=1,
-                warmup=0,
-                workers=workers,
-            )
-            batched_best = min(batched_best, batched.best_seconds)
-            parallel_best = min(parallel_best, parallel.best_seconds)
-        speedup = batched_best / parallel_best
-        report.record(
-            f"{method} parallel({workers}) speedup",
-            speedup >= min_speedup,
-            f"{speedup:.2f}x vs 1-process batch",
-            f">= {min_speedup:.2f}x" if min_speedup > 0 else "(informational)",
-        )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -405,22 +336,7 @@ def main(argv=None) -> int:
         "the example venue's cold searches are already microseconds, so this "
         "is a regression floor — BENCH_cache.json carries the headline)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="also gate the multiprocess executor with this many workers (0 = skip)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=0.0,
-        help="required parallel-vs-batch throughput ratio; 0 keeps the parallel "
-        "gate correctness-only (the CI default — speedup depends on core count)",
-    )
     args = parser.parse_args(argv)
-    if args.workers == 1 or args.workers < 0:
-        parser.error("--workers must be >= 2 to exercise the pool (0 skips the parallel gates)")
 
     itgraph = build_example_itgraph()
     reference = ITSPQEngine(itgraph, compiled=False)
@@ -428,55 +344,34 @@ def main(argv=None) -> int:
     compiled_engine.ensure_compiled()
 
     report = GateReport()
-    try:
-        run_gate(
-            report,
-            "compiled",
-            check_compiled,
-            reference,
-            compiled_engine,
-            build_workload(),
-            args.repetitions,
-        )
-        batch_queries = build_batch_workload(itgraph)
-        run_gate(
-            report,
-            "batch",
-            check_batch,
-            compiled_engine,
-            batch_queries,
-            args.repetitions,
-            args.min_batch_speedup,
-        )
-        run_gate(
-            report,
-            "cache",
-            check_cache,
-            itgraph,
-            build_workload(),
-            args.repetitions,
-            args.min_cache_speedup,
-        )
-        run_gate(
-            report,
-            "semantics",
-            check_semantics,
-            itgraph,
-            build_workload(),
-        )
-        if args.workers > 1:
-            run_gate(
-                report,
-                "parallel",
-                check_parallel,
-                compiled_engine,
-                batch_queries,
-                args.repetitions,
-                args.workers,
-                args.min_parallel_speedup,
-            )
-    finally:
-        compiled_engine.close()
+    run_gate(
+        report,
+        "compiled",
+        check_compiled,
+        reference,
+        compiled_engine,
+        build_workload(),
+        args.repetitions,
+    )
+    run_gate(
+        report,
+        "batch",
+        check_batch,
+        compiled_engine,
+        build_batch_workload(itgraph),
+        args.repetitions,
+        args.min_batch_speedup,
+    )
+    run_gate(
+        report,
+        "cache",
+        check_cache,
+        itgraph,
+        build_workload(),
+        args.repetitions,
+        args.min_cache_speedup,
+    )
+    run_gate(report, "semantics", check_semantics, itgraph, build_workload())
 
     print()
     print(report.summary_table())

@@ -55,13 +55,11 @@ from repro.core import (
     static_shortest_path,
 )
 from repro.exceptions import (
-    ChunkTimeoutError,
     CorruptPayloadError,
     DeadlineExceededError,
     InvalidGeometryError,
     InvalidTimeError,
     NoPathExistsError,
-    ParallelExecutionError,
     QueryError,
     ReproError,
     SerializationError,
@@ -69,7 +67,6 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceUnavailableError,
     TopologyError,
-    WorkerCrashError,
 )
 from repro.geometry import IndoorPoint, Point2D
 from repro.indoor import (
@@ -132,9 +129,6 @@ __all__ = [
     "SerializationError",
     "CorruptPayloadError",
     "DeadlineExceededError",
-    "ParallelExecutionError",
-    "WorkerCrashError",
-    "ChunkTimeoutError",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceUnavailableError",

@@ -147,28 +147,24 @@ def run_batch_query_set(
     repetitions: int = 10,
     batch: bool = True,
     warmup: int = 1,
-    workers: Optional[int] = None,
 ) -> BatchThroughputMeasurement:
     """Measure whole-workload wall time of ``engine.run_batch``.
 
     ``batch=True`` measures the planned multi-target executor, ``batch=False``
     the sequential one-search-per-query loop — the pair quantifies the batch
     speedup on identical workloads (answers are bit-identical either way).
-    ``workers=N`` measures the multiprocess executor; the warmup run then
-    also absorbs pool startup and index hand-off, so the timed repetitions
-    see a hot pool (the steady state a service runs in).
     """
     if not queries:
         raise ValueError("query set must not be empty")
     queries = list(queries)
     method_label: Optional[str] = None
     for _ in range(max(warmup, 0)):
-        results = engine.run_batch(queries, method=method, batch=batch, workers=workers)
+        results = engine.run_batch(queries, method=method, batch=batch)
         method_label = results[-1].method_label
     times: List[float] = []
     for _ in range(max(repetitions, 1)):
         started = time.perf_counter()
-        results = engine.run_batch(queries, method=method, batch=batch, workers=workers)
+        results = engine.run_batch(queries, method=method, batch=batch)
         times.append(time.perf_counter() - started)
         method_label = results[-1].method_label
     return BatchThroughputMeasurement(

@@ -30,16 +30,6 @@ Contents
 :mod:`repro.core.cache`
     The interval-keyed shortest-path-tree cache: recorded kernel runs
     replayed per query, statistics included.
-:mod:`repro.core.parallel`
-    Supervised multiprocess batch execution: planned groups fanned out as
-    tracked, retryable chunks over a pool of worker processes (a batch
-    executor per worker, compiled index handed off in its serialised
-    ``repro.io`` form),
-    with a degradation ladder — retry on a respawned pool, then in-process
-    fallback — that keeps ``ITSPQEngine.run_batch(workers=N)`` bit-identical
-    to sequential execution even under worker crashes, chunk timeouts and
-    corrupt rehydration payloads.  Every run is summarised by an
-    ``ExecutionReport``.
 :mod:`repro.core.path` / :mod:`repro.core.query`
     Query and result value objects, including per-hop arrival times and
     re-validation of returned paths.
@@ -52,7 +42,6 @@ from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner
 from repro.core.cache import CacheConfig, SPTreeCache
 from repro.core.compiled import CompiledITGraph
 from repro.core.deadline import SearchDeadline
-from repro.core.parallel import ExecutionReport, ParallelBatchExecutor, default_worker_count
 from repro.core.itgraph import DoorRecord, ITGraph, PartitionRecord, build_itgraph
 from repro.core.snapshot import GraphSnapshot, GraphUpdater, IntervalBitsets
 from repro.core.tvcheck import (
@@ -63,7 +52,7 @@ from repro.core.tvcheck import (
 )
 from repro.core.path import IndoorPath, PathHop
 from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
-from repro.core.engine import CheckMethod, ITSPQEngine
+from repro.core.engine import CheckMethod, ExecutionReport, ITSPQEngine
 from repro.core.baselines import static_shortest_path, query_time_snapshot_path
 from repro.core.reference import (
     selection_dijkstra_reference,
@@ -82,8 +71,6 @@ __all__ = [
     "SPTreeCache",
     "SearchDeadline",
     "ExecutionReport",
-    "ParallelBatchExecutor",
-    "default_worker_count",
     "CompiledITGraph",
     "GraphSnapshot",
     "GraphUpdater",

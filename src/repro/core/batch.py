@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import WALKING_SPEED_MPS
-from repro.core.cache import CacheConfig, SPTreeCache, TimeKeyResolver
+from repro.core.cache import SPTreeCache, TimeKeyResolver
 from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.deadline import SearchDeadline
 from repro.core.kernel import run_group
@@ -60,7 +60,6 @@ class BatchGroup:
         "rep_seconds",
         "allowed_private",
         "members",
-        "sequence",
         "cache_key",
         "semantics",
     )
@@ -73,7 +72,6 @@ class BatchGroup:
         source_pidx,
         rep_seconds,
         allowed_private,
-        sequence=-1,
         cache_key=None,
         semantics: TemporalSemantics = NO_WAIT,
     ):
@@ -86,17 +84,10 @@ class BatchGroup:
         self.rep_seconds = rep_seconds
         self.allowed_private = allowed_private
         self.members: List[Tuple[int, ITSPQuery, int]] = []
-        #: Plan-order index stamped by :class:`BatchPlanner` — the stable
-        #: identity the supervised parallel executor uses to name a group in
-        #: retry bookkeeping and failure diagnostics.
-        self.sequence = sequence
         #: The planner's group key — also the address of this group's
-        #: shortest-path tree in an :class:`~repro.core.cache.SPTreeCache`
-        #: (plain floats/ints plus the frozen semantics value object, so it
-        #: pickles with the group).
+        #: shortest-path tree in an :class:`~repro.core.cache.SPTreeCache`.
         self.cache_key = cache_key
-        #: The temporal semantics every member runs under — part of the group
-        #: key, so it travels with pickled groups to parallel workers.
+        #: The temporal semantics every member runs under (part of the key).
         self.semantics = semantics
 
     @property
@@ -191,7 +182,6 @@ class BatchPlanner:
                     source_pidx,
                     query_seconds,
                     allowed,
-                    len(groups),
                     cache_key=key,
                     semantics=semantics,
                 )
@@ -225,17 +215,11 @@ class BatchExecutor:
         self._graph = compiled_graph
         self._store = store if store is not None else compiled_graph.interval_bitsets.store()
         self._speed = walking_speed
-        # ``cache`` accepts an engine-owned SPTreeCache (shared entries), a
-        # CacheConfig (the executor builds its own — the parallel workers'
-        # path), or None (no caching; identical to the pre-cache executor).
-        if cache is None:
-            self._cache: Optional[SPTreeCache] = None
-        elif isinstance(cache, SPTreeCache):
-            self._cache = cache
-        elif isinstance(cache, CacheConfig):
-            self._cache = SPTreeCache(compiled_graph, self._store, walking_speed, cache)
-        else:
-            raise TypeError(f"cache must be an SPTreeCache, CacheConfig or None, got {cache!r}")
+        # ``cache`` is an engine-owned SPTreeCache (shared entries) or None
+        # (no caching).
+        if cache is not None and not isinstance(cache, SPTreeCache):
+            raise TypeError(f"cache must be an SPTreeCache or None, got {cache!r}")
+        self._cache: Optional[SPTreeCache] = cache
         self._planner = BatchPlanner(
             compiled_graph, self._cache.resolver if self._cache is not None else None
         )
@@ -283,14 +267,8 @@ class BatchExecutor:
         deadline: Optional[SearchDeadline] = None,
     ) -> List[Tuple[int, QueryResult]]:
         """Execute already-planned groups; returns ``(member order, result)``
-        pairs in group-plan order.
-
-        This is the unit of work the multiprocess executor
-        (:mod:`repro.core.parallel`) ships to workers: groups are
-        self-contained, so any subset can run in any process and the pairs
-        merge deterministically by member order.  ``runtime_seconds`` is the
-        group's wall time amortised over its members, as in
-        :meth:`run_batch`.
+        pairs in group-plan order.  ``runtime_seconds`` is the group's wall
+        time amortised over its members, as in :meth:`run_batch`.
 
         An armed ``deadline`` is polled inside every group's search (and any
         cache recording run); an aborted run leaves no state behind, so the

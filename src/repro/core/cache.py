@@ -6,7 +6,7 @@ against a small family of static graphs indexed by
 :meth:`~repro.core.snapshot.IntervalBitsets.index_at`.  Service workloads
 cluster heavily inside that family: query times land in a few intervals and
 sources (entrances, concierge desks) repeat.  Yet every execution tier built
-so far — compiled, batch, parallel — re-runs Dijkstra from scratch for each
+so far — compiled and batch — re-runs Dijkstra from scratch for each
 ``(source, interval, method)`` even when it just computed that exact tree.
 
 :class:`SPTreeCache` closes that gap.  It memoises **recorded shortest-path
@@ -42,8 +42,7 @@ lookups) afterwards.
 Admission and invalidation:
 
 * keys are the batch planner's group keys, so the engine's single-query
-  path (a group of one), the in-process batch path and every parallel
-  worker address the same tree space;
+  path (a group of one) and the batch path address the same tree space;
 * ``mode="promote"`` (default) records a tree only after a key misses
   ``promote_after`` times — one-off queries never pay the full-exhaustion
   recording run; ``mode="eager"`` records on first miss (bench/warm-up);
@@ -86,8 +85,7 @@ _MODES = ("off", "promote", "eager")
 
 
 class CacheConfig:
-    """Configuration of one :class:`SPTreeCache` (picklable, so it travels
-    through the parallel executor's worker initializer).
+    """Configuration of one :class:`SPTreeCache`.
 
     Parameters
     ----------
@@ -267,10 +265,7 @@ class CachedTree:
 class SPTreeCache:
     """Generation-stamped LRU cache of recorded shortest-path trees.
 
-    One instance serves an engine (and its in-process batch executor);
-    parallel workers build their own from the :class:`CacheConfig` threaded
-    through the worker initializer, over the graph they rehydrated from the
-    codec payload (precompute overlays included, when present).
+    One instance serves an engine and its batch executor.
     """
 
     def __init__(

@@ -270,12 +270,11 @@ class CompiledITGraph:
     def _from_state(cls, state: Dict[str, object]) -> "CompiledITGraph":
         """Rebuild a compiled graph from the ``repro.io`` codec's state dict.
 
-        The rehydrated graph serves queries (sequential, batch and parallel)
-        with bit-identical results and statistics, but carries no
+        The rehydrated graph serves queries (sequential and batch) with
+        bit-identical results and statistics, but carries no
         :class:`~repro.core.itgraph.ITGraph`: :attr:`itgraph` is ``None``,
         which only matters to callers that want the object-level reference
-        engine.  This is what worker processes and future venue shards build
-        their executors from.
+        engine.  This is what venue shards build their engines from.
         """
         graph = object.__new__(cls)
         graph.itgraph = None
@@ -307,7 +306,7 @@ class CompiledITGraph:
         every checkpoint interval plus interval-keyed landmark distance rows.
         Once attached, :func:`repro.io.compiled_codec.compiled_graph_to_bytes`
         serialises the overlays as the payload's optional ``precompute``
-        section, so worker processes rehydrate them for free.
+        section, so venue shards rehydrate them for free.
         """
         self.overlays = IntervalOverlays.build(self, landmark_count=landmark_count)
         return self.overlays

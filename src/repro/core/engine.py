@@ -25,8 +25,8 @@ Two expansion modes are provided:
     intra-partition distances obey the triangle inequality (all venues in
     this repository); the ablation benchmark quantifies the difference.
     Both the reference and the compiled search implement this mode, with
-    reference-vs-compiled parity enforced by the test suite; batch, parallel
-    and cached execution require the standard expansion.
+    reference-vs-compiled parity enforced by the test suite; batch and
+    cached execution require the standard expansion.
 
 Temporal feasibility and edge pricing are delegated to the pluggable
 semantics layer in :mod:`repro.core.semantics` — both searches run the same
@@ -41,6 +41,7 @@ import enum
 import heapq
 import itertools
 import time
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.constants import WALKING_SPEED_MPS
@@ -49,7 +50,6 @@ from repro.core.cache import CacheConfig, SPTreeCache
 from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.deadline import SearchDeadline
 from repro.core.kernel import run_group
-from repro.core.parallel import ExecutionReport, ParallelBatchExecutor, default_worker_count
 from repro.core.itgraph import ITGraph
 from repro.core.path import IndoorPath, PathHop
 from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
@@ -89,6 +89,21 @@ class CheckMethod(enum.Enum):
 MethodLike = Union[str, CheckMethod]
 
 
+@dataclass
+class ExecutionReport:
+    """How one :meth:`ITSPQEngine.run_batch` call executed its workload."""
+
+    mode: str  #: ``"batched"`` (planned groups) or ``"sequential"`` (one search per query).
+    queries: int  #: workload size.
+    groups: int  #: planned batch groups (one per query when sequential).
+    dispatch_unix: float  #: ``time.time()`` when the call started.
+    elapsed_seconds: float  #: wall time of the whole call.
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready dictionary (the service's ``last_execution_report``)."""
+        return asdict(self)
+
+
 def _normalise_method(method: MethodLike) -> str:
     if isinstance(method, CheckMethod):
         return method.value
@@ -122,8 +137,8 @@ class ITSPQEngine:
         # interned integer-indexed graph; ``compiled=False`` keeps the
         # object-level reference search, which parity tests and custom
         # strategies rely on.  ``partition_once`` (the literal-Algorithm-1
-        # study mode) runs on either engine; batch/parallel/cached execution
-        # requires the standard expansion.
+        # study mode) runs on either engine; batch and cached execution
+        # require the standard expansion.
         self._compiled_enabled = bool(compiled)
         # ``cache`` opts into the interval-keyed shortest-path-tree cache on
         # the compiled path: ``True`` enables the defaults, a CacheConfig
@@ -139,8 +154,6 @@ class ITSPQEngine:
         self._compiled_graph: Optional[CompiledITGraph] = None
         self._compiled_store: Optional[CompiledSnapshotStore] = None
         self._batch_executor: Optional[BatchExecutor] = None
-        self._parallel_executors: Dict[int, ParallelBatchExecutor] = {}
-        self._compiled_payload: Optional[bytes] = None
         self._last_execution_report: Optional[ExecutionReport] = None
 
     @staticmethod
@@ -168,14 +181,11 @@ class ITSPQEngine:
         compiled-only — the reference search, explicit TV-check strategies
         and the ``partition_once`` study mode (all of which need the
         object-level graph) raise :class:`~repro.exceptions.QueryError`.
-        The payload is kept verbatim as the parallel executor's worker
-        hand-off, so serving a shard re-serialises nothing.
         """
         from repro.io.compiled_codec import compiled_graph_from_bytes
 
         if walking_speed <= 0:
             raise ValueError(f"walking speed must be positive, got {walking_speed}")
-        payload = bytes(payload)
         engine = cls.__new__(cls)
         engine._itgraph = None
         engine._walking_speed = walking_speed
@@ -184,11 +194,9 @@ class ITSPQEngine:
         engine._compiled_enabled = True
         engine._cache_config = cls._normalise_cache_option(cache)
         engine._cache = None
-        engine._compiled_graph = compiled_graph_from_bytes(payload)
+        engine._compiled_graph = compiled_graph_from_bytes(bytes(payload))
         engine._compiled_store = engine._compiled_graph.interval_bitsets.store()
         engine._batch_executor = None
-        engine._parallel_executors = {}
-        engine._compiled_payload = payload
         engine._last_execution_report = None
         return engine
 
@@ -216,13 +224,8 @@ class ITSPQEngine:
 
     @property
     def last_execution_report(self) -> Optional[ExecutionReport]:
-        """The :class:`~repro.core.parallel.ExecutionReport` of the most
-        recent :meth:`run_batch` call (``None`` before the first one).
-
-        Parallel runs report the supervised pool's full failure/recovery
-        counters; in-process runs report zeros with the matching mode, so
-        callers can always inspect ``report.clean`` regardless of path.
-        """
+        """The :class:`ExecutionReport` of the most recent :meth:`run_batch`
+        call (``None`` before the first one)."""
         return self._last_execution_report
 
     def ensure_compiled(self) -> CompiledITGraph:
@@ -476,77 +479,11 @@ class ITSPQEngine:
             )
         return self._batch_executor
 
-    def parallel_executor(self, workers: Optional[int] = None, **options) -> ParallelBatchExecutor:
-        """The engine's :class:`~repro.core.parallel.ParallelBatchExecutor`
-        for ``workers`` processes (built lazily, cached per worker count).
-
-        Executors share the engine's compiled graph, snapshot store, walking
-        speed and — crucially — one serialised index payload, so asking for
-        several pool sizes re-serialises nothing.  Call :meth:`close` (or
-        use the engine as a context manager) to shut the pools down.
-
-        Supervision ``options`` (``max_chunk_retries``, ``chunk_timeout``,
-        ``backoff_base``, ``backoff_cap``, ``in_process_fallback``,
-        ``fault_plan``, ``chunks_per_worker``, ``start_method``) are passed
-        through to the executor constructor.  Passing any option replaces a
-        previously cached executor for that worker count (its pool is closed
-        first), so chaos tests can retune the same engine between runs.
-        """
-        if not self._compiled_enabled:
-            raise QueryError("parallel batch execution requires the compiled fast path")
-        if self._partition_once:
-            raise QueryError(
-                "parallel batch execution requires the standard expansion (partition_once=False)"
-            )
-        self.ensure_compiled()
-        count = int(workers) if workers is not None else default_worker_count()
-        if count < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        executor = self._parallel_executors.get(count)
-        if executor is None or options:
-            if executor is not None:
-                executor.close()
-            if self._compiled_payload is None:
-                from repro.io.compiled_codec import compiled_graph_to_bytes
-
-                self._compiled_payload = compiled_graph_to_bytes(self._compiled_graph)
-            executor = ParallelBatchExecutor(
-                self._compiled_graph,
-                count,
-                store=self._compiled_store,
-                walking_speed=self._walking_speed,
-                payload=self._compiled_payload,
-                cache=self._cache,
-                **options,
-            )
-            self._parallel_executors[count] = executor
-        return executor
-
-    def close(self) -> None:
-        """Shut down any worker pools the engine's parallel executors own.
-
-        Sequential use never starts a pool, so calling this is only needed
-        after ``run_batch(workers=N)`` with ``N > 1``.  Safe to call any
-        number of times — including again after further parallel runs, which
-        simply start fresh pools — and the engine remains fully usable
-        afterwards.  Also invoked by the executors' ``atexit`` guard, so a
-        process that forgets to call it still exits cleanly.
-        """
-        for executor in self._parallel_executors.values():
-            executor.close()
-
-    def __enter__(self) -> "ITSPQEngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
     def run_batch(
         self,
         queries: List[ITSPQuery],
         method: MethodLike = CheckMethod.SYNCHRONOUS,
         batch: bool = True,
-        workers: Optional[int] = None,
         deadline: Optional[SearchDeadline] = None,
     ) -> List[QueryResult]:
         """Answer a list of queries with the same method.
@@ -559,47 +496,20 @@ class ITSPQEngine:
         parity suite enforces this); only ``runtime_seconds`` differs in
         meaning — it is the group's wall time amortised over its members.
 
-        ``workers=N`` with ``N > 1`` additionally fans the planned groups
-        out over a pool of worker processes (one batch executor each, the
-        compiled index handed off in its serialised form); the merged
-        results stay bit-identical to sequential execution.  The pool is
-        cached on the engine — call :meth:`close` when done.
-
         ``batch=False`` (and any non-compiled engine) keeps the sequential
         one-search-per-query path: each query is planned as a group of one
         and runs the same kernel, bypassing any cache.
         Either way the method/strategy resolution is hoisted out of the
         per-query loop — it is resolved exactly once per call.
 
-        Every call leaves an :class:`~repro.core.parallel.ExecutionReport`
-        on :attr:`last_execution_report` describing how the workload was
-        executed (and, for a worker pool, what failed and how it was
-        recovered).
+        Every call leaves an :class:`ExecutionReport` on
+        :attr:`last_execution_report` describing how the workload was
+        executed.
 
-        ``deadline`` is the cooperative budget shared by the whole call on
-        the in-process paths (batched, sequential compiled, reference); the
-        parallel tier bounds work with its per-chunk timeout instead, so
-        combining ``workers>1`` with a deadline raises
-        :class:`~repro.exceptions.QueryError`.
+        ``deadline`` is the cooperative budget shared by the whole call
+        (batched, sequential compiled or reference).
         """
         method_name = canonical_method(_normalise_method(method))
-        if workers is not None:
-            if workers < 1:
-                raise ValueError(f"workers must be positive, got {workers}")
-            if workers > 1:
-                if not batch:
-                    raise QueryError("workers>1 requires batch execution (batch=True)")
-                if deadline is not None:
-                    raise QueryError(
-                        "deadlines are enforced on the in-process tiers; the parallel "
-                        "tier bounds work with chunk_timeout instead"
-                    )
-                executor = self.parallel_executor(workers)
-                results = executor.run_batch(queries, method_name)
-                self._last_execution_report = executor.last_report
-                return results
-            # workers=1 is the explicit "no parallelism" request: fall through
-            # to the in-process paths below.
         started_call = time.perf_counter()
         dispatch_unix = time.time()
         if self._compiled_enabled:
@@ -614,8 +524,6 @@ class ITSPQEngine:
                 results = batch_executor.run_batch(queries, method_name, deadline=deadline)
                 self._last_execution_report = ExecutionReport(
                     mode="batched",
-                    workers=1,
-                    usable_cpus=default_worker_count(),
                     queries=len(queries),
                     groups=batch_executor.last_group_count,
                     dispatch_unix=dispatch_unix,
@@ -647,8 +555,6 @@ class ITSPQEngine:
                 results.append(result)
         self._last_execution_report = ExecutionReport(
             mode="sequential",
-            workers=1,
-            usable_cpus=default_worker_count(),
             queries=len(queries),
             groups=len(queries),
             dispatch_unix=dispatch_unix,

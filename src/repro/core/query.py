@@ -86,7 +86,7 @@ class SearchStatistics:
     """
 
     #: The deterministic counters, i.e. every field that must be bit-identical
-    #: across execution tiers (sequential, compiled, batch, parallel) for the
+    #: across execution tiers (sequential, compiled, batch, cache) for the
     #: same query — everything except ``runtime_seconds`` and ``extra``.  The
     #: parity gates and benchmarks iterate this instead of hand-maintaining
     #: their own field lists, so a newly added counter is gated automatically.

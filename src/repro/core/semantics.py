@@ -91,8 +91,7 @@ class TemporalSemantics:
 
     Subclasses are small frozen value objects: hashable (they participate in
     batch group keys and cache keys — trees are only shareable within one
-    semantics), picklable (they travel to parallel workers inside planned
-    groups) and stateless (all per-query state lives in the probe closure).
+    semantics) and stateless (all per-query state lives in the probe closure).
     """
 
     #: Canonical name, accepted by :func:`canonical_semantics`.

@@ -89,20 +89,3 @@ class ServiceOverloadedError(ServiceError):
 class ServiceUnavailableError(ServiceError):
     """The service cannot take the request at all (draining, no venue, or no
     execution rung available).  Maps to HTTP 503."""
-
-
-class ParallelExecutionError(ReproError):
-    """Parallel batch execution lost a unit of work beyond its retry budget.
-
-    Only raised when the in-process fallback rung of the degradation ladder
-    is disabled (``in_process_fallback=False``); with the ladder enabled the
-    executor recovers every chunk instead of raising.
-    """
-
-
-class WorkerCrashError(ParallelExecutionError):
-    """A worker process died (or its pool broke) while it held a chunk."""
-
-
-class ChunkTimeoutError(ParallelExecutionError):
-    """A dispatched chunk exceeded the per-chunk timeout."""

@@ -8,8 +8,8 @@ want to feed their own building data into the library.
 The compiled query index has a binary codec of its own
 (:mod:`repro.io.compiled_codec`): a versioned flat-array payload that
 round-trips the :class:`~repro.core.compiled.CompiledITGraph` (with its
-interval bitsets) *exactly*, so worker processes and venue shards rehydrate
-an index from bytes instead of recompiling the venue.  Since format
+interval bitsets) *exactly*, so venue shards rehydrate an index from
+bytes instead of recompiling the venue.  Since format
 version 2 the payload carries CRC32 integrity checksums per section and
 over the whole blob, so a damaged payload fails decoding with
 :class:`~repro.exceptions.CorruptPayloadError` instead of producing a

@@ -3,11 +3,10 @@
 :class:`~repro.core.compiled.CompiledITGraph` is built from an
 :class:`~repro.core.itgraph.ITGraph`, which is itself built from polygons,
 schedules and distance matrices — an offline cost worth paying exactly once
-per venue.  Worker processes (``repro.core.parallel``) and, eventually,
-venue shards behind a router should not repeat it: this module flattens the
-compiled index (plus its :class:`~repro.core.snapshot.IntervalBitsets`) into
-one compact ``bytes`` payload and rebuilds it without touching the original
-IT-Graph.
+per venue.  Venue shards behind a router should not repeat it: this module
+flattens the compiled index (plus its
+:class:`~repro.core.snapshot.IntervalBitsets`) into one compact ``bytes``
+payload and rebuilds it without touching the original IT-Graph.
 
 Format
 ------
@@ -35,7 +34,7 @@ enforces.  Unknown magics, old/future versions, truncations and trailing
 bytes fail fast with :class:`~repro.exceptions.SerializationError`; a
 payload whose framing is intact but whose bytes were flipped in flight
 fails its checksums with :class:`~repro.exceptions.CorruptPayloadError`
-(naming the damaged section), so a worker process never rehydrates — let
+(naming the damaged section), so a shard process never rehydrates — let
 alone answers queries from — a silently damaged index
 (``tests/test_codec_integrity.py`` flips bytes in every section to prove
 it).

@@ -14,19 +14,19 @@ robustness machinery:
 * **admission control** — a bounded pending-request budget sheds load with
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) and a
   semaphore caps in-flight batches (:mod:`repro.service.admission`);
-* **a circuit-breaker degradation ladder** — parallel pool → in-process
-  batch → sequential compiled → cache-replay-only, each rung guarded by a
-  breaker scored from outcomes and
-  :class:`~repro.core.parallel.ExecutionReport` history, with
-  bounded-backoff recovery probes (:mod:`repro.service.degradation`);
+* **a circuit-breaker degradation ladder** — batch → sequential compiled
+  → cache-replay-only, each rung guarded by a breaker scored from
+  outcomes, with bounded-backoff recovery probes
+  (:mod:`repro.service.degradation`);
 * **graceful lifecycle** — ``/healthz`` / ``/readyz`` / ``/metrics``
-  endpoints and drain-then-close shutdown reusing the engines' idempotent
-  ``close()`` contract (:mod:`repro.service.server`);
+  endpoints and idempotent drain-then-close shutdown
+  (:mod:`repro.service.server`);
 * **sharded serving** — a :class:`~repro.service.shard.ShardRouter`
   front-end over N supervised service subprocesses (one venue subset each,
-  static venue→shard map, pooled proxying, bounded-backoff respawn,
-  aggregated health/metrics), the ``--shards`` mode of
-  ``python -m repro.service`` (:mod:`repro.service.shard`).
+  static venue→shards map with replicas on spare shards, pooled proxying
+  to the least-loaded live replica, bounded-backoff respawn, aggregated
+  health/metrics), the ``--shards`` mode of ``python -m repro.service``
+  and the one way to use more than one core (:mod:`repro.service.shard`).
 
 Every rung answers **bit-identically** to the sequential oracle (the
 repository's standing parity invariant); degradation changes latency and

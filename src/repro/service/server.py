@@ -23,13 +23,12 @@ Request path
 Admitted queries are buffered per ``(venue, method)`` for at most
 ``batch_window_ms`` (or until ``max_batch`` members arrive), then flushed as
 one micro-batch through the :class:`~repro.service.degradation.DegradationLadder`:
-the batch runs on the highest healthy rung — parallel pool, in-process
-batch, sequential compiled, cache-replay — descending on rung failure, with
-outcomes scored into the rungs' circuit breakers.  Engines are synchronous
-and their shared state — the SP-tree cache's LRU and counters, the
-single-caller parallel executor — is **not** thread-safe, so every rung
-execution runs on a worker thread under a per-venue lock; concurrency comes
-from batching, not from racing searches.
+the batch runs on the highest healthy rung — batch, sequential compiled,
+cache-replay — descending on rung failure, with outcomes scored into the
+rungs' circuit breakers.  Engines are synchronous and their shared state —
+the SP-tree cache's LRU and counters — is **not** thread-safe, so every
+rung execution runs on a worker thread under a per-venue lock; concurrency
+comes from batching, not from racing searches.
 
 Deadlines compose with batching conservatively: a micro-batch's shared
 budget is the *largest* remaining member budget (no budget at all if any
@@ -43,8 +42,7 @@ Lifecycle
 :meth:`ITSPQService.start` compiles every venue off-loop and binds the
 socket; :meth:`ITSPQService.aclose` drains — stop admitting, flush every
 buffer, let in-flight batches and handlers finish — then closes the socket
-and the engines (whose ``close()`` is idempotent by contract, as is
-``aclose`` itself).
+(``aclose`` is idempotent).
 """
 
 from __future__ import annotations
@@ -72,12 +70,11 @@ from repro.service.admission import AdmissionController
 from repro.service.degradation import (
     RUNG_BATCH,
     RUNG_CACHE_REPLAY,
-    RUNG_PARALLEL,
     RUNG_SEQUENTIAL,
     DegradationLadder,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.wire import read_request
+from repro.service.wire import ContentLengthError, read_request
 
 _REASONS = {
     200: "OK",
@@ -120,12 +117,6 @@ class ServiceConfig:
     drain_timeout_seconds:
         How long :meth:`ITSPQService.aclose` waits for in-flight handlers
         after the batch queue empties.
-    workers:
-        ``> 1`` adds the parallel-pool rung with that pool size.
-    parallel_options:
-        Passed through to
-        :meth:`~repro.core.engine.ITSPQEngine.parallel_executor` when the
-        parallel rung is built (``chunk_timeout``, ``fault_plan``, ...).
     breaker_failure_threshold / breaker_backoff_base / breaker_backoff_cap:
         The per-rung circuit-breaker tuning.
     breaker_clock:
@@ -136,7 +127,8 @@ class ServiceConfig:
         on a rung; an exception it raises is that rung's failure.  ``None``
         in production.
     max_body_bytes:
-        Request bodies above this answer 400.
+        Request bodies above this answer 400 (as does a negative or
+        non-integer ``Content-Length``), without the body being read.
     """
 
     host: str = "127.0.0.1"
@@ -148,8 +140,6 @@ class ServiceConfig:
     default_deadline_ms: Optional[float] = None
     client_timeout_seconds: float = 5.0
     drain_timeout_seconds: float = 10.0
-    workers: int = 1
-    parallel_options: Optional[Dict[str, Any]] = None
     breaker_failure_threshold: int = 3
     breaker_backoff_base: float = 0.5
     breaker_backoff_cap: float = 30.0
@@ -180,8 +170,6 @@ class ServiceConfig:
             raise ValueError(
                 f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 f"breaker_failure_threshold must be positive, got {self.breaker_failure_threshold}"
@@ -219,14 +207,10 @@ class ITSPQService:
         self._engines: Dict[str, ITSPQEngine] = dict(engines)
         self._config = config if config is not None else ServiceConfig()
         # One lock per venue: the SP-tree cache's LRU and counters are not
-        # thread-safe, and the supervised parallel executor is single-caller
-        # by design, so every rung execution of a venue is serialised across
-        # worker threads.
+        # thread-safe, so every rung execution of a venue is serialised
+        # across worker threads.
         self._locks: Dict[str, threading.Lock] = {name: threading.Lock() for name in self._engines}
-        rungs: List[str] = []
-        if self._config.workers > 1:
-            rungs.append(RUNG_PARALLEL)
-        rungs.extend((RUNG_BATCH, RUNG_SEQUENTIAL))
+        rungs: List[str] = [RUNG_BATCH, RUNG_SEQUENTIAL]
         if all(engine.cache_enabled for engine in self._engines.values()):
             rungs.append(RUNG_CACHE_REPLAY)
         self._ladder = DegradationLadder(
@@ -302,18 +286,11 @@ class ITSPQService:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Compile every venue (off-loop), arm the parallel rung's pools,
-        and bind the socket; idempotent."""
+        """Compile every venue (off-loop) and bind the socket; idempotent."""
         if self._server is not None:
             return
         for engine in self._engines.values():
             await asyncio.to_thread(engine.ensure_compiled)
-        if RUNG_PARALLEL in self._ladder.rungs:
-            options = self._config.parallel_options or {}
-            for engine in self._engines.values():
-                await asyncio.to_thread(
-                    engine.parallel_executor, self._config.workers, **options
-                )
         self._server = await asyncio.start_server(
             self._handle_client, self._config.host, self._config.port
         )
@@ -329,8 +306,7 @@ class ITSPQService:
 
     async def aclose(self) -> None:
         """Drain, then close: stop admitting, flush every buffer, wait for
-        in-flight batches and handlers, close the socket and the engines.
-        Idempotent — the service analogue of the executors' ``close()``."""
+        in-flight batches and handlers, close the socket.  Idempotent."""
         if self._closed:
             return
         self._draining = True
@@ -348,8 +324,6 @@ class ITSPQService:
             except Exception:
                 pass
             self._server = None
-        for engine in self._engines.values():
-            engine.close()
         self._closed = True
 
     # -- HTTP plumbing ---------------------------------------------------------
@@ -372,6 +346,13 @@ class ITSPQService:
                         408,
                         {"error": "request not received in time", "type": "ClientTimeout"},
                         keep_alive=False,
+                    )
+                    return
+                except ContentLengthError as exc:
+                    self._metrics.received += 1
+                    self._metrics.observe_outcome(400)
+                    await self._respond(
+                        writer, 400, {"error": str(exc), "type": type(exc).__name__}, keep_alive=False
                     )
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
@@ -475,7 +456,7 @@ class ITSPQService:
             }
         try:
             venue, method_name, query, deadline = self._parse_query(body)
-        except (ReproError, ValueError, TypeError, KeyError) as exc:
+        except (ReproError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             return 400, {"error": str(exc) or exc.__class__.__name__, "type": type(exc).__name__}
         try:
             self._admission.admit()
@@ -596,7 +577,7 @@ class ITSPQService:
             rung = self._ladder.select()
             while True:
                 try:
-                    outcomes, report = await asyncio.to_thread(
+                    outcomes = await asyncio.to_thread(
                         self._execute_rung, engine, lock, venue, rung, method_name, members
                     )
                 except DeadlineExceededError as exc:
@@ -609,7 +590,7 @@ class ITSPQService:
                     # A malformed member poisons a shared group search; the
                     # sequential rung isolates it so the other members still
                     # answer.  Not a rung-health event.
-                    if rung in (RUNG_PARALLEL, RUNG_BATCH):
+                    if rung == RUNG_BATCH:
                         self._ladder.record(rung, True)
                         rung = RUNG_SEQUENTIAL
                         continue
@@ -627,8 +608,6 @@ class ITSPQService:
                     continue
                 else:
                     self._ladder.record(rung, True)
-                    if report is not None:
-                        self._ladder.note_report(report)
                     break
         answered = sum(1 for outcome in outcomes if isinstance(outcome, QueryResult))
         if answered:
@@ -649,24 +628,20 @@ class ITSPQService:
         rung: str,
         method_name: str,
         members: List[_Member],
-    ) -> Tuple[List[Any], Any]:
+    ) -> List[Any]:
         """Synchronous rung execution on a worker thread (venue serialised).
 
         Returns per-member outcomes (a :class:`QueryResult` or the typed
-        exception) plus the :class:`~repro.core.parallel.ExecutionReport`
-        of a parallel run; raises on rung-level failure."""
+        exception); raises on rung-level failure."""
         hook = self._config.rung_fault_hook
         if hook is not None:
             hook(rung, venue)
         queries = [member.query for member in members]
         with lock:
-            if rung == RUNG_PARALLEL:
-                results = engine.run_batch(queries, method_name, workers=self._config.workers)
-                return self._post_hoc_deadlines(members, results), engine.last_execution_report
             if rung == RUNG_BATCH:
                 group_deadline = self._group_deadline(members)
                 results = engine.run_batch(queries, method_name, deadline=group_deadline)
-                return self._post_hoc_deadlines(members, results), None
+                return self._post_hoc_deadlines(members, results)
             if rung == RUNG_SEQUENTIAL:
                 outcomes: List[Any] = []
                 for member in members:
@@ -676,7 +651,7 @@ class ITSPQService:
                         )
                     except (DeadlineExceededError, QueryError) as exc:
                         outcomes.append(exc)
-                return outcomes, None
+                return outcomes
             # cache-replay: answers hits, sheds misses — no search ever runs.
             outcomes = []
             for member in members:
@@ -693,7 +668,7 @@ class ITSPQService:
                     )
                 else:
                     outcomes.append(result)
-            return outcomes, None
+            return outcomes
 
     @staticmethod
     def _group_deadline(members: List[_Member]) -> Optional[SearchDeadline]:

@@ -1,24 +1,28 @@
 """Sharded multi-process serving: a venue router over N service processes.
 
 One :class:`ITSPQService` process serves many venues well, but it is still
-one process: one GIL, one degradation ladder, one blast radius.  The next
-scale step (the ROADMAP's "router front-end over N service processes") is
-this module — a :class:`ShardRouter` that owns a **static venue→shard
-map**, spawns and supervises N worker processes (each an ordinary
-``python -m repro.service`` serving its venue subset on its own localhost
-port), and proxies ``POST /query`` by venue:
+one process: one GIL, one degradation ladder, one blast radius.  This
+module is the repository's one way to use more than one core — a
+:class:`ShardRouter` that owns a **static venue→shards map**, spawns and
+supervises N worker processes (each an ordinary ``python -m repro.service``
+serving its venue subset on its own localhost port), and proxies
+``POST /query`` by venue:
 
 * **Routing.**  The router peeks at the request body only far enough to
-  resolve the venue, then forwards the body **verbatim** to the owning
-  shard over a pooled keep-alive connection and relays the shard's answer
+  resolve the venue, then forwards the body **verbatim** to a shard serving
+  it over a pooled keep-alive connection and relays the shard's answer
   byte for byte.  Everything the single-process service guarantees —
   bit-identical answers, typed admission errors, ``deadline_ms`` carried in
   the request body — therefore survives sharding by construction: the
   router adds routing, never interpretation.
+* **Replicas.**  A venue may be served by several shards (the plan deals
+  venues over spare shards when there are more shards than venues); each
+  request goes to the live replica with the fewest requests in flight,
+  ties broken by plan order.
 * **Isolation.**  Each shard has a bounded in-flight budget (excess sheds a
   typed ``429`` at the router, before any bytes reach a loaded shard) and
-  its own failure domain: a dead shard answers ``503`` for *its* venues
-  while every other shard keeps serving.
+  its own failure domain: a venue answers ``503`` only while every shard
+  serving it is down, and every other shard keeps serving.
 * **Supervision.**  A per-shard supervisor task waits on the worker
   process; an unexpected exit marks the shard down, discards its pooled
   connections, and respawns it with bounded exponential backoff
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
-from repro.service.wire import read_request
+from repro.service.wire import ContentLengthError, read_request
 
 _REASONS = {
     200: "OK",
@@ -91,6 +95,8 @@ class ShardSpec:
             raise ValueError("a shard needs a non-empty name")
         if not self.venue_specs:
             raise ValueError(f"shard {self.name!r} owns no venues")
+        if len(set(self.venues)) != len(self.venues):
+            raise ValueError(f"shard {self.name!r} lists a venue twice: {self.venues}")
 
     @property
     def venues(self) -> Tuple[str, ...]:
@@ -99,29 +105,27 @@ class ShardSpec:
 
 
 def plan_shards(venue_specs: Sequence[str], shard_count: int) -> List[ShardSpec]:
-    """Round-robin ``NAME=SPEC`` venue entries over ``shard_count`` shards.
+    """Deal ``NAME=SPEC`` venue entries round-robin over ``shard_count`` shards.
 
-    The assignment is deterministic (venue *i* goes to shard ``i % N``), so
-    the same command line always yields the same venue→shard map — the map
-    is static configuration, not runtime balancing.  Raises ``ValueError``
-    for an empty plan, more shards than venues (a shard with nothing to
-    serve is a misconfiguration, not a spare), or duplicate venue names.
+    Slot *i* in ``range(max(N, V))`` puts venue ``i % V`` on shard ``i % N``.
+    With no more shards than venues that is venue *i* on shard ``i % N``;
+    with more, every shard gets one venue and the spare shards serve
+    replicas.  The plan is deterministic, so the same command line always
+    yields the same venue→shards map — static configuration, not runtime
+    balancing.  Raises ``ValueError`` for an empty plan or duplicate venue
+    names.
     """
     if shard_count < 1:
         raise ValueError(f"shard_count must be positive, got {shard_count}")
     entries = list(venue_specs)
     if not entries:
         raise ValueError("the shard plan needs at least one venue")
-    if shard_count > len(entries):
-        raise ValueError(
-            f"more shards ({shard_count}) than venues ({len(entries)}): every shard must own a venue"
-        )
     names = [entry.partition("=")[0] for entry in entries]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate venue names in the shard plan: {sorted(names)}")
     buckets: List[List[str]] = [[] for _ in range(shard_count)]
-    for index, entry in enumerate(entries):
-        buckets[index % shard_count].append(entry)
+    for slot in range(max(shard_count, len(entries))):
+        buckets[slot % shard_count].append(entries[slot % len(entries)])
     return [
         ShardSpec(name=f"shard-{index}", venue_specs=tuple(bucket))
         for index, bucket in enumerate(buckets)
@@ -165,10 +169,11 @@ class ShardRouterConfig:
         and then for each SIGINTed worker to drain, before escalating.
     worker_args:
         Extra command-line arguments appended to every worker's
-        ``python -m repro.service`` invocation (``--cache``, ``--workers``,
+        ``python -m repro.service`` invocation (``--cache``,
         ``--window-ms``, ...), so shard tuning is the single-process tuning.
     max_body_bytes:
-        Client request bodies above this answer ``400``.
+        Client request bodies above this answer ``400`` (as does a negative
+        or non-integer ``Content-Length``), without the body being read.
     """
 
     host: str = "127.0.0.1"
@@ -239,7 +244,7 @@ class RouterMetrics:
         self.routed = 0  # forwarded to a shard and answered by it
         self.bad_requests = 0  # 400s the router itself produced
         self.shed = 0  # 429s from the per-shard in-flight budget
-        self.shard_unavailable = 0  # 503s while the owning shard is down
+        self.shard_unavailable = 0  # 503s while every shard serving the venue is down
         self.proxy_failures = 0  # 502s: connection to the shard broke
         self.proxy_timeouts = 0  # 504s: shard_request_timeout_seconds expired
         self.client_timeouts = 0  # 408s: slow clients
@@ -330,15 +335,19 @@ class ShardRouter:
             raise ValueError(f"duplicate shard names: {names}")
         self._config = config if config is not None else ShardRouterConfig()
         self._handles: Dict[str, _ShardHandle] = {spec.name: _ShardHandle(spec) for spec in shards}
-        self._venue_to_shard: Dict[str, str] = {}
+        # Each venue's replicas in plan order; replicas must serve one payload.
+        self._replicas: Dict[str, List[_ShardHandle]] = {}
+        venue_spec_of: Dict[str, str] = {}
         for spec in shards:
-            for venue in spec.venues:
-                if venue in self._venue_to_shard:
+            for venue, venue_spec in zip(spec.venues, spec.venue_specs):
+                known = venue_spec_of.setdefault(venue, venue_spec)
+                if known != venue_spec:
                     raise ValueError(
-                        f"venue {venue!r} assigned to both "
-                        f"{self._venue_to_shard[venue]!r} and {spec.name!r}"
+                        f"venue {venue!r} assigned to both {self._replicas[venue][0].spec.name!r} "
+                        f"({known!r}) and {spec.name!r} ({venue_spec!r}): replicas must "
+                        "serve one payload"
                     )
-                self._venue_to_shard[venue] = spec.name
+                self._replicas.setdefault(venue, []).append(self._handles[spec.name])
         self._metrics = RouterMetrics()
         self._server: Optional[asyncio.base_events.Server] = None
         self._started = False
@@ -360,7 +369,7 @@ class ShardRouter:
 
     @property
     def venues(self) -> Tuple[str, ...]:
-        return tuple(self._venue_to_shard)
+        return tuple(self._replicas)
 
     @property
     def shard_names(self) -> Tuple[str, ...]:
@@ -370,9 +379,10 @@ class ShardRouter:
     def draining(self) -> bool:
         return self._draining
 
-    def shard_of(self, venue: str) -> str:
-        """The shard name owning ``venue`` (KeyError for unknown venues)."""
-        return self._venue_to_shard[venue]
+    def shards_of(self, venue: str) -> Tuple[str, ...]:
+        """The names of the shards serving ``venue``, in plan order
+        (KeyError for unknown venues)."""
+        return tuple(handle.spec.name for handle in self._replicas[venue])
 
     def shard_snapshot(self, name: str) -> Dict[str, object]:
         """One shard's process-level state (see ``_ShardHandle.snapshot``)."""
@@ -694,6 +704,13 @@ class ShardRouter:
                         keep_alive=False,
                     )
                     return
+                except ContentLengthError as exc:
+                    self._metrics.received += 1
+                    self._metrics.bad_requests += 1
+                    await self._respond_json(
+                        writer, 400, {"error": str(exc), "type": type(exc).__name__}, keep_alive=False
+                    )
+                    return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return
                 if request is None:
@@ -775,7 +792,7 @@ class ShardRouter:
             payload = {
                 "status": "ready" if ready else "not-ready",
                 "draining": self._draining,
-                "venues": sorted(self._venue_to_shard),
+                "venues": sorted(self._replicas),
                 "shards": {name: handle.snapshot() for name, handle in self._handles.items()},
             }
             await self._respond_json(writer, 200 if ready else 503, payload)
@@ -831,19 +848,17 @@ class ShardRouter:
             raise ValueError("the query body must be a JSON object")
         if "venue" in document:
             venue = str(document["venue"])
-            if venue not in self._venue_to_shard:
-                raise ValueError(
-                    f"unknown venue {venue!r} (have {sorted(self._venue_to_shard)})"
-                )
+            if venue not in self._replicas:
+                raise ValueError(f"unknown venue {venue!r} (have {sorted(self._replicas)})")
             return venue
-        if len(self._venue_to_shard) == 1:
-            return next(iter(self._venue_to_shard))
-        raise ValueError(
-            f"multi-venue deployment: pick a venue from {sorted(self._venue_to_shard)}"
-        )
+        if len(self._replicas) == 1:
+            return next(iter(self._replicas))
+        raise ValueError(f"multi-venue deployment: pick a venue from {sorted(self._replicas)}")
 
     async def _route_query(self, body: bytes) -> Tuple[int, bytes]:
-        """Proxy one ``POST /query`` to the shard owning its venue."""
+        """Proxy one ``POST /query`` to the live replica of its venue with
+        the fewest requests in flight (ties go to the earlier shard in plan
+        order)."""
 
         def error(status: int, message: str, error_type: str, **extra: Any) -> Tuple[int, bytes]:
             payload = {"error": message, "type": error_type, **extra}
@@ -858,19 +873,22 @@ class ShardRouter:
             )
         try:
             venue = self._resolve_venue(body)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             self._metrics.bad_requests += 1
             return error(400, str(exc) or exc.__class__.__name__, type(exc).__name__)
-        shard_name = self._venue_to_shard[venue]
-        handle = self._handles[shard_name]
-        if handle.state != SHARD_UP:
+        replicas = self._replicas[venue]
+        live = [handle for handle in replicas if handle.state == SHARD_UP]
+        if not live:
             self._metrics.shard_unavailable += 1
+            states = ", ".join(f"{handle.spec.name} is {handle.state}" for handle in replicas)
             return error(
                 503,
-                f"shard {shard_name!r} (venue {venue!r}) is {handle.state}",
+                f"no shard serving venue {venue!r} is up ({states})",
                 "ServiceUnavailableError",
-                shard=shard_name,
+                shard=", ".join(handle.spec.name for handle in replicas),
             )
+        handle = min(live, key=lambda replica: replica.inflight)
+        shard_name = handle.spec.name
         if handle.inflight >= self._config.max_inflight_per_shard:
             self._metrics.shed += 1
             return error(

@@ -11,6 +11,12 @@ import asyncio
 from typing import Optional, Tuple
 
 
+class ContentLengthError(ValueError):
+    """A request's ``Content-Length`` is not an integer, is negative, or is
+    above the body limit.  The caller answers ``400`` and closes the
+    connection without reading the body."""
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body_bytes: int, timeout: float
 ) -> Optional[Tuple[str, str, bytes]]:
@@ -21,7 +27,8 @@ async def read_request(
     answer then, so the caller closes the connection without writing
     anything.  Raises :class:`asyncio.TimeoutError` when a request started
     arriving but was not complete ``timeout`` seconds after its first byte
-    (the caller's 408), and :class:`ConnectionError`,
+    (the caller's 408), :class:`ContentLengthError` for an unacceptable
+    ``Content-Length`` (the caller's 400), and :class:`ConnectionError`,
     :class:`asyncio.IncompleteReadError` or :class:`asyncio.LimitOverrunError`
     on a disconnect mid-request or garbage framing.
     """
@@ -50,9 +57,9 @@ async def _read_started(
             if name.strip().lower() == "content-length":
                 try:
                     length = int(value.strip())
-                except ValueError as exc:
-                    raise ConnectionError("malformed content-length") from exc
+                except ValueError:
+                    raise ContentLengthError("Content-Length is not an integer") from None
     if length < 0 or length > max_body_bytes:
-        raise ConnectionError("unacceptable content-length")
+        raise ContentLengthError(f"Content-Length {length} is outside 0..{max_body_bytes}")
     body = await reader.readexactly(length) if length else b""
     return http_method, path, body

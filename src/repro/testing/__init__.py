@@ -1,34 +1,25 @@
-"""Deterministic chaos tooling for the execution tiers.
+"""Deterministic chaos tooling for the serving layer.
 
-:mod:`repro.testing.faults` is the fault-injection harness behind the chaos
-parity suite: a seeded :class:`~repro.testing.faults.FaultPlan` describes
-exactly which worker-pool events to sabotage (worker death mid-chunk, an
-injected exception, a chunk delayed past its timeout, a payload corrupted at
-rehydration, an initializer failure), and the supervised
-:class:`~repro.core.parallel.ParallelBatchExecutor` threads the plan through
-its worker initializer so every run of a chaos test replays the identical
-failure schedule.
-
-Nothing in here runs in production: the executor only imports this package
-when a plan is explicitly supplied.
+:mod:`repro.testing.faults` holds the fault helpers behind the service and
+shard-router chaos suites: a flaky ladder rung, a slow client, a request
+flood, and a SIGKILLed shard with the wait for its respawn.  Nothing in
+here runs in production.
 """
 
 from repro.testing.faults import (
-    FaultPlan,
-    FaultSpec,
     FlakyRung,
-    InjectedWorkerError,
+    await_router_ready,
     drip_feed_request,
     flood_requests,
-    sigkill_mid_request_plan,
+    shard_owning,
+    sigkill_shard,
 )
 
 __all__ = [
-    "FaultPlan",
-    "FaultSpec",
     "FlakyRung",
-    "InjectedWorkerError",
+    "await_router_ready",
     "drip_feed_request",
     "flood_requests",
-    "sigkill_mid_request_plan",
+    "shard_owning",
+    "sigkill_shard",
 ]

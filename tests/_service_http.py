@@ -53,6 +53,32 @@ async def raw_request(
                 pass
 
 
+async def send_content_length(
+    host: str, port: int, content_length: str
+) -> Tuple[int, bytes, Dict[str, Any]]:
+    """POST ``/query`` headers declaring ``Content-Length: content_length``
+    and send no body; returns ``(status, response head, json_payload)``
+    after checking that the server then closed the connection."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(f"POST /query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n".encode())
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n"):
+            if line.lower().startswith(b"content-length"):
+                length = int(line.split(b":")[1])
+        payload = json.loads(await reader.readexactly(length))
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        return int(head.split(b" ")[1]), head, payload
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except Exception:
+            pass
+
+
 async def post_query(host: str, port: int, document: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
     """POST ``document`` to ``/query`` on a fresh connection."""
     return await raw_request(host, port, "POST", "/query", json.dumps(document).encode())

@@ -6,12 +6,11 @@ test: a cached answer — found flag, path, length and **every**
 :class:`~repro.core.query.SearchStatistics` counter — equals the uncached
 compiled answer (itself parity-locked to the reference engine by
 ``test_compiled_parity.py``), across all four TV-check methods, on both
-standard venues, cold and warm, through the single-query engine seam, the
-batch executor and the parallel workers.  Alongside parity: admission
-(promote vs eager), LRU eviction under a small capacity, generation-stamped
-invalidation, the interval-index time bucketing of the planner (satellite:
-``query-time`` groups by ``IntervalBitsets.index_at``) and the opt-in
-overlay pruning.
+standard venues, cold and warm, through the single-query engine seam and
+the batch executor.  Alongside parity: admission (promote vs eager), LRU
+eviction under a small capacity, generation-stamped invalidation, the
+interval-index time bucketing of the planner (satellite: ``query-time``
+groups by ``IntervalBitsets.index_at``) and the opt-in overlay pruning.
 """
 
 import pytest
@@ -46,7 +45,7 @@ def assert_cached_parity(itgraph, queries, cache_config, methods=METHODS, rounds
     cached_engine = ITSPQEngine(itgraph, cache=cache_config)
     for method in methods:
         expected = [oracle.run(query, method=method) for query in queries]
-        batch = BatchExecutor(itgraph.compiled(), cache=cache_config)
+        batch = ITSPQEngine(itgraph, cache=cache_config).batch_executor()
         for _ in range(rounds):
             for reference, query in zip(expected, queries):
                 assert_parity(reference, cached_engine.run(query, method=method))
@@ -130,14 +129,6 @@ class TestCachedAnswerParity:
         itgraph, points = build_two_room_venue({"d1": [("8:00", "9:00")]})
         queries = all_pairs_queries(points, ["7:00", "8:30", "23:00"])
         assert_cached_parity(itgraph, queries, CacheConfig(mode="eager"))
-
-    def test_parallel_workers_with_caches(self, example_itgraph, example_queries):
-        oracle = ITSPQEngine(example_itgraph)
-        expected = [oracle.run(query, method="synchronous") for query in example_queries]
-        with ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager")) as engine:
-            results = engine.run_batch(example_queries * 6, method="synchronous", workers=2)
-        for reference, result in zip(expected * 6, results):
-            assert_parity(reference, result)
 
 
 class TestIntervalTimeBuckets:

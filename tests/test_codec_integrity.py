@@ -5,9 +5,8 @@ whole-payload CRC32.  The contract under test: *any* content damage raises
 :class:`~repro.exceptions.CorruptPayloadError` (framing violations — foreign
 magic, old versions, truncation, trailing bytes — keep raising plain
 :class:`~repro.exceptions.SerializationError`), and a payload that decodes
-at all decodes exactly.  This is what lets the parallel executor treat a
-corrupt rehydration payload as a recoverable worker fault rather than a
-silent wrong-answer hazard.
+at all decodes exactly.  This is what makes a corrupt payload a shard
+that fails loudly at startup rather than a silent wrong-answer hazard.
 """
 
 import random

@@ -1,10 +1,10 @@
 """Construction-time validation: every numeric knob rejects bad values with a
 ``ValueError`` that names the offending field.
 
-Covers :class:`CacheConfig`, :class:`ParallelBatchExecutor`,
-:class:`ServiceConfig`, :class:`AdmissionController` and
-:class:`CircuitBreaker` — misconfiguration must fail at construction, not as
-a confusing runtime error deep inside a search.
+Covers :class:`CacheConfig`, :class:`ServiceConfig`,
+:class:`AdmissionController` and :class:`CircuitBreaker` — misconfiguration
+must fail at construction, not as a confusing runtime error deep inside a
+search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.parallel import ParallelBatchExecutor
 from repro.service.admission import AdmissionController
 from repro.service.degradation import CircuitBreaker
 from repro.service.server import ServiceConfig
@@ -44,54 +43,6 @@ class TestCacheConfig:
         assert config.max_entries >= 1 and config.promote_after >= 1
 
 
-@pytest.fixture(scope="module")
-def compiled_graph(example_itgraph):
-    return example_itgraph.compiled()
-
-
-class TestParallelExecutorOptions:
-    """The pool is created lazily, so bad options fail before any process
-    spawns — both through the direct constructor and through the engine's
-    ``parallel_executor`` seam."""
-
-    @pytest.mark.parametrize(
-        "kwargs, field",
-        [
-            ({"workers": 0}, "workers"),
-            ({"workers": -2}, "workers"),
-            ({"chunks_per_worker": 0}, "chunks_per_worker"),
-            ({"max_chunk_retries": -1}, "max_chunk_retries"),
-            ({"chunk_timeout": 0.0}, "chunk_timeout"),
-            ({"chunk_timeout": -5.0}, "chunk_timeout"),
-            ({"backoff_base": -0.1}, "backoff_base"),
-            ({"backoff_cap": -1.0}, "backoff_cap"),
-            ({"walking_speed": 0.0}, "walking_speed"),
-            ({"walking_speed": -1.0}, "walking_speed"),
-        ],
-    )
-    def test_rejects_bad_numbers_naming_the_field(self, compiled_graph, kwargs, field):
-        options = {"workers": 1, **kwargs}
-        workers = options.pop("workers")
-        with pytest.raises(ValueError, match=field):
-            ParallelBatchExecutor(compiled_graph, workers, **options)
-
-    def test_engine_seam_names_the_field_too(self, example_itgraph):
-        from repro.core.engine import ITSPQEngine
-
-        engine = ITSPQEngine(example_itgraph)
-        try:
-            with pytest.raises(ValueError, match="workers"):
-                engine.parallel_executor(workers=0)
-            with pytest.raises(ValueError, match="chunk_timeout"):
-                engine.parallel_executor(workers=1, chunk_timeout=-1.0)
-        finally:
-            engine.close()
-
-    def test_chunk_timeout_none_is_allowed(self, compiled_graph):
-        executor = ParallelBatchExecutor(compiled_graph, 1, chunk_timeout=None)
-        executor.close()
-
-
 class TestServiceConfig:
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -104,7 +55,7 @@ class TestServiceConfig:
             ({"default_deadline_ms": -10.0}, "default_deadline_ms"),
             ({"client_timeout_seconds": 0.0}, "client_timeout_seconds"),
             ({"drain_timeout_seconds": -1.0}, "drain_timeout_seconds"),
-            ({"workers": 0}, "workers"),
+            ({"breaker_failure_threshold": -1}, "breaker_failure_threshold"),
             ({"breaker_failure_threshold": 0}, "breaker_failure_threshold"),
             ({"breaker_backoff_base": -0.5}, "breaker_backoff_base"),
             ({"breaker_backoff_cap": -1.0}, "breaker_backoff_cap"),

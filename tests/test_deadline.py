@@ -10,9 +10,7 @@ The contract under test (``repro.core.deadline``):
   generation stamp and the per-call label allocation make an aborted run
   invisible);
 * a deadline that does **not** fire changes nothing: results are
-  bit-identical to an un-deadlined run, counter for counter;
-* deadlines are an in-process concept — combining them with the parallel
-  tier raises :class:`QueryError` (chunk timeouts bound that tier instead).
+  bit-identical to an un-deadlined run, counter for counter.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.core.deadline import DEFAULT_CHECK_INTERVAL, SearchDeadline
 from repro.core.engine import ITSPQEngine
 from repro.core.query import ITSPQuery, SearchStatistics
 from repro.core.reference import selection_dijkstra_reference, time_expanded_exact
-from repro.exceptions import DeadlineExceededError, QueryError
+from repro.exceptions import DeadlineExceededError
 
 
 class FakeClock:
@@ -161,15 +159,6 @@ class TestEngineTiers:
         clock = FakeClock()
         with pytest.raises(DeadlineExceededError):
             time_expanded_exact(example_itgraph, p3, p4, "9:00", deadline=_expired(clock))
-
-    def test_parallel_tier_rejects_deadlines(self, example_itgraph, example_points):
-        engine = ITSPQEngine(example_itgraph)
-        p3, p4 = example_points["p3"], example_points["p4"]
-        queries = [ITSPQuery(p3, p4, "9:00")]
-        clock = FakeClock()
-        deadline = SearchDeadline(10.0, clock=clock)
-        with pytest.raises(QueryError, match="chunk_timeout"):
-            engine.run_batch(queries, workers=2, deadline=deadline)
 
 
 class TestNonFiringDeadlineParity:

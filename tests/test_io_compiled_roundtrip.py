@@ -5,9 +5,8 @@ A :class:`~repro.core.compiled.CompiledITGraph` rebuilt from its
 freshly compiled one at query time: bit-identical paths, lengths and every
 :class:`~repro.core.query.SearchStatistics` counter, for all four TV-check
 methods on every venue — including hypothesis-generated door schedules.
-This is what lets worker processes (and future venue shards) serve queries
-from bytes instead of recompiling, so the contract is load-bearing for
-``repro.core.parallel``.
+This is what lets venue shards serve queries from bytes instead of
+recompiling, so the contract is load-bearing for ``repro.service.shard``.
 """
 
 import pytest

@@ -1,11 +1,11 @@
 """Cross-tier parity and properties of the pluggable temporal semantics.
 
 One probe kernel (:mod:`repro.core.semantics`) serves every execution tier —
-reference, compiled, batch, parallel workers and the SP-tree cache — so each
-semantics must produce *bit-identical* results (paths, lengths, arrival
-times and every deterministic counter) no matter which tier answered it.
+reference, compiled, batch and the SP-tree cache — so each semantics must
+produce *bit-identical* results (paths, lengths, arrival times and every
+deterministic counter) no matter which tier answered it.
 The no-wait default is covered by the pre-existing parity suites; this
-module sweeps the three additional semantics across all five tiers and pins
+module sweeps the three additional semantics across all four tiers and pins
 down their defining properties:
 
 * wait-tolerant answers dominate no-wait answers (waiting only helps);
@@ -94,7 +94,7 @@ def corridor_workload(semantics):
 
 @pytest.mark.parametrize("semantics", SEMANTICS, ids=SEMANTICS_IDS)
 class TestCrossTierParity:
-    """Reference vs compiled vs batch vs parallel vs cache, per semantics."""
+    """Reference vs compiled vs batch vs cache, per semantics."""
 
     def test_reference_vs_compiled(self, semantics):
         itgraph, queries = corridor_workload(semantics)
@@ -113,14 +113,6 @@ class TestCrossTierParity:
         fast = ITSPQEngine(itgraph, compiled=True)
         expected = [fast.run(query) for query in queries]
         for exp, act in zip(expected, fast.run_batch(queries)):
-            assert_same_result(exp, act)
-
-    def test_batch_vs_parallel_workers(self, semantics):
-        itgraph, queries = corridor_workload(semantics)
-        with ITSPQEngine(itgraph, compiled=True) as engine:
-            batched = engine.run_batch(queries)
-            parallel = engine.run_batch(queries, workers=2)
-        for exp, act in zip(batched, parallel):
             assert_same_result(exp, act)
 
     def test_cache_replay_vs_fresh_search(self, semantics):
@@ -519,7 +511,5 @@ class TestPartitionOnceCompiled:
         engine = ITSPQEngine(itgraph, partition_once=True)
         with pytest.raises(QueryError):
             engine.batch_executor()
-        with pytest.raises(QueryError):
-            engine.parallel_executor(2)
         with pytest.raises(QueryError):
             ITSPQEngine(itgraph, partition_once=True, cache=True)

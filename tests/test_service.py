@@ -25,6 +25,7 @@ from tests._service_http import (
     post_query,
     query_body,
     raw_request,
+    send_content_length,
 )
 
 
@@ -197,6 +198,7 @@ class TestHttpSurface:
             {"source": [26, 5], "target": [9, 10], "time": "9:00", "venue": "atlantis"},
             {"source": [26, 5], "target": [9, 10], "time": "9:00", "deadline_ms": -5},
             [1, 2, 3],  # not an object
+            {"source": [26, 5, float("inf")], "target": [9, 10], "time": "9:00"},  # floor overflows int
         ],
     )
     def test_malformed_queries_answer_400(self, example_itgraph, document):
@@ -217,6 +219,36 @@ class TestHttpSurface:
             assert payload["type"] == "JSONDecodeError"
 
         run_service_test(example_service(example_itgraph), body)
+
+    def test_deeply_nested_body_answers_400(self, example_itgraph, example_points):
+        async def body(service):
+            status, payload = await raw_request(
+                service.host, service.port, "POST", "/query", b"[" * 100_000
+            )
+            assert status == 400
+            assert payload["type"] == "RecursionError"
+            assert service.metrics.received == service.metrics.bad_requests == 1
+            status, _ = await post_query(
+                service.host, service.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_service_test(example_service(example_itgraph), body)
+
+    def test_bad_content_length_answers_400_and_closes(self, example_itgraph, example_points):
+        async def body(service):
+            for value in ("2048", "-1", "twelve"):  # above max_body_bytes, negative, not an integer
+                status, head, payload = await send_content_length(service.host, service.port, value)
+                assert status == 400, value
+                assert b"connection: close" in head.lower()
+                assert payload["type"] == "ContentLengthError"
+            assert service.metrics.received == service.metrics.bad_requests == 3
+            status, _ = await post_query(
+                service.host, service.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_service_test(example_service(example_itgraph, max_body_bytes=1024), body)
 
 
 class TestDeadlines:

@@ -1,10 +1,8 @@
-"""Graceful lifecycle: drain-then-close semantics, idempotent shutdown, and
-peaceful coexistence with the executors' ``atexit`` guard.
+"""Graceful lifecycle: drain-then-close semantics and idempotent shutdown.
 
 The drain contract: queries admitted before ``aclose`` are answered, not
 dropped — the buffers are flushed, in-flight batches finish, and only then
-does the socket close.  ``aclose`` is idempotent like the engine/executor
-``close()`` it reuses.
+does the socket close.  ``aclose`` is idempotent.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ import time
 import pytest
 
 from repro.core.engine import ITSPQEngine
-from repro.core.parallel import _close_live_executors
 from repro.service import ITSPQService, ServiceConfig
-from repro.service.degradation import RUNG_PARALLEL
 
 from tests._service_http import assert_matches_oracle, post_query, query_body
 
@@ -105,7 +101,6 @@ class TestIdempotence:
             assert status == 200
             await service.aclose()
             await service.aclose()  # second close: nothing to do, nothing raised
-            engine.close()  # and the engine's own close stays idempotent too
 
         asyncio.run(scenario())
 
@@ -118,41 +113,3 @@ class TestIdempotence:
 
         asyncio.run(scenario())
 
-
-class TestAtexitGuard:
-    def test_guard_sweep_does_not_kill_a_live_service(self, example_itgraph, example_points):
-        """The executors' ``atexit`` guard may fire at any time in an
-        embedding process; a service with a parallel rung must survive the
-        sweep — the pool restarts lazily on the next parallel batch."""
-        p3, p4 = example_points["p3"], example_points["p4"]
-        engine = ITSPQEngine(example_itgraph)
-        oracle_morning = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
-        oracle_afternoon = ITSPQEngine(example_itgraph).query(p4, p3, "14:00")
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(workers=2, batch_window_ms=100.0),
-        )
-
-        async def both():
-            return await asyncio.gather(
-                post_query(service.host, service.port, query_body(p3, p4)),
-                post_query(service.host, service.port, query_body(p4, p3, time="14:00")),
-            )
-
-        async def scenario():
-            await service.start()
-            for (status_a, payload_a), (status_b, payload_b) in (await both(),):
-                assert status_a == 200 and payload_a["rung"] == RUNG_PARALLEL
-                assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL
-            # The guard sweeps every live pool out from under the service...
-            await asyncio.to_thread(_close_live_executors)
-            # ...and the very next parallel batch starts a fresh pool and
-            # answers bit-identically.
-            (status_a, payload_a), (status_b, payload_b) = await both()
-            assert status_a == 200 and payload_a["rung"] == RUNG_PARALLEL
-            assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL
-            assert_matches_oracle(payload_a, oracle_morning)
-            assert_matches_oracle(payload_b, oracle_afternoon)
-            await service.aclose()
-
-        asyncio.run(scenario())

@@ -1,5 +1,5 @@
 """The sharded serving topology: routing parity, failure isolation,
-supervised respawn and cross-shard metrics aggregation.
+supervised respawn, venue replicas and cross-shard metrics aggregation.
 
 Every router test spawns **real** ``python -m repro.service`` worker
 subprocesses (the deployment entry point, serving venues rehydrated from
@@ -33,6 +33,7 @@ from tests._service_http import (
     post_query,
     query_body,
     raw_request,
+    send_content_length,
 )
 
 #: (source, target, time, method) cases; methods chosen so both TV-check
@@ -69,9 +70,7 @@ def payload_files(example_payload, tmp_path_factory):
 def oracle_engine(example_payload):
     """The parity oracle: an engine rehydrated from the same payload bytes
     the shard workers serve."""
-    engine = ITSPQEngine.from_compiled_payload(example_payload)
-    yield engine
-    engine.close()
+    return ITSPQEngine.from_compiled_payload(example_payload)
 
 
 def two_shard_router(payload_files, **config_kwargs) -> ShardRouter:
@@ -81,6 +80,21 @@ def two_shard_router(payload_files, **config_kwargs) -> ShardRouter:
     ]
     config_kwargs.setdefault("worker_args", ("--cache", "eager", "--window-ms", "1"))
     config_kwargs.setdefault("startup_timeout_seconds", 60.0)
+    return ShardRouter(specs, ShardRouterConfig(**config_kwargs))
+
+
+def replica_router(payload_files, **config_kwargs) -> ShardRouter:
+    """Venue ``a`` on both shards of ``--shards 2`` (two real replicas)."""
+    config_kwargs.setdefault("worker_args", ("--cache", "eager", "--window-ms", "20"))
+    config_kwargs.setdefault("startup_timeout_seconds", 60.0)
+    return ShardRouter(plan_shards([f"a={payload_files['a']}"], 2), ShardRouterConfig(**config_kwargs))
+
+
+def one_shard_router(payload_files, **config_kwargs) -> ShardRouter:
+    """Venue ``a`` alone on one shard."""
+    config_kwargs.setdefault("worker_args", ("--window-ms", "1"))
+    config_kwargs.setdefault("startup_timeout_seconds", 60.0)
+    specs = [ShardSpec("shard-0", (f"a={payload_files['a']}",))]
     return ShardRouter(specs, ShardRouterConfig(**config_kwargs))
 
 
@@ -111,7 +125,7 @@ class TestPlanAndValidation:
         [
             (["a=x"], 0, "shard_count"),
             ([], 1, "at least one venue"),
-            (["a=x"], 2, "more shards"),
+            (["a=x", "a=y"], 2, "duplicate venue"),
             (["a=x", "a=y"], 1, "duplicate venue"),
         ],
     )
@@ -144,6 +158,20 @@ class TestPlanAndValidation:
         with pytest.raises(ValueError, match=message):
             ShardRouterConfig(**kwargs)
 
+    def test_spare_shards_replicate_venues(self):
+        assert [spec.venue_specs for spec in plan_shards(["a=x"], 2)] == [("a=x",), ("a=x",)]
+        plan = plan_shards(["a=x", "b=y"], 3)
+        assert [spec.venue_specs for spec in plan] == [("a=x",), ("b=y",), ("a=x",)]
+        router = ShardRouter(plan)
+        assert router.shards_of("a") == ("shard-0", "shard-2")
+        assert router.shards_of("b") == ("shard-1",)
+
+    def test_replicas_must_serve_one_payload(self):
+        router = ShardRouter([ShardSpec("shard-0", ("a=x",)), ShardSpec("shard-1", ("a=x",))])
+        assert router.shards_of("a") == ("shard-0", "shard-1")
+        with pytest.raises(ValueError, match="replicas must serve one payload"):
+            ShardRouter([ShardSpec("shard-0", ("a=x",)), ShardSpec("shard-1", ("a=y",))])
+
     def test_router_rejects_duplicate_venues_and_shards(self):
         with pytest.raises(ValueError, match="at least one shard"):
             ShardRouter([])
@@ -168,7 +196,7 @@ class TestRoutingParity:
 
         async def body(router):
             assert router.venues == ("a", "b")
-            assert router.shard_of("a") == "shard-0"
+            assert router.shards_of("a") == ("shard-0",)
             for (venue, source, target, when, method), oracle in oracles.items():
                 status, payload = await post_query(
                     router.host,
@@ -392,3 +420,111 @@ class TestIdleConnections:
             assert metrics["router"]["proxy_failures"] == 0
 
         run_router_test(two_shard_router(payload_files, client_timeout_seconds=0.2), body)
+
+
+class TestReplicas:
+    def test_concurrent_requests_are_answered_by_both_replicas(
+        self, payload_files, oracle_engine, example_points
+    ):
+        cases = CASES * 5
+        oracles = [
+            oracle_engine.query(example_points[source], example_points[target], when, method=method)
+            for source, target, when, method in cases
+        ]
+
+        async def body(router):
+            assert router.shards_of("a") == ("shard-0", "shard-1")
+            outcomes = await asyncio.gather(
+                *(
+                    post_query(
+                        router.host,
+                        router.port,
+                        query_body(example_points[source], example_points[target], when, method=method),
+                    )
+                    for source, target, when, method in cases
+                )
+            )
+            for (status, payload), oracle in zip(outcomes, oracles):
+                assert status == 200, payload
+                assert_matches_oracle(payload, oracle)
+            status, metrics = await get(router.host, router.port, "/metrics")
+            assert status == 200
+            answered = {
+                name: entry["metrics"]["requests"]["answered"]
+                for name, entry in metrics["shards"].items()
+            }
+            assert answered["shard-0"] > 0 and answered["shard-1"] > 0, answered
+            assert sum(answered.values()) == len(cases)
+
+        run_router_test(replica_router(payload_files), body)
+
+    def test_sigkilled_replica_never_sheds_the_venue(self, payload_files, oracle_engine, example_points):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = oracle_engine.query(p3, p4, "9:00")
+
+        async def body(router):
+            _status, ready = await get(router.host, router.port, "/readyz")
+            sigkill_shard(ready["shards"]["shard-0"])
+            # A request in flight on the dying process may see a typed 502;
+            # everything else is answered by the live replica.
+            answered_while_down = 0
+            for _attempt in range(50):
+                status, payload = await post_query(router.host, router.port, query_body(p3, p4))
+                if status == 502:
+                    assert payload["type"] == "ShardConnectionError"
+                    assert payload["shard"] == "shard-0"
+                else:
+                    assert status == 200, payload
+                    assert_matches_oracle(payload, oracle)
+                    if router.shard_snapshot("shard-0")["state"] != SHARD_UP:
+                        answered_while_down += 1
+                        if answered_while_down >= 3:
+                            break
+                await asyncio.sleep(0.02)
+            assert answered_while_down >= 1, "the live replica never answered for the dead one"
+
+            await await_router_ready(router.host, router.port, timeout=30.0)
+            status, payload = await post_query(router.host, router.port, query_body(p3, p4))
+            assert status == 200, payload
+            assert_matches_oracle(payload, oracle)
+            snapshot = router.shard_snapshot("shard-0")
+            assert snapshot["deaths"] == 1 and snapshot["respawns"] == 1
+            assert router.shard_snapshot("shard-1")["deaths"] == 0
+            assert router.metrics.shard_unavailable == 0
+
+        run_router_test(
+            replica_router(payload_files, respawn_backoff_base=0.2, respawn_backoff_cap=2.0), body
+        )
+
+
+class TestHostileInput:
+    def test_deeply_nested_body_answers_400(self, payload_files, example_points):
+        async def body(router):
+            status, payload = await raw_request(
+                router.host, router.port, "POST", "/query", b"[" * 100_000
+            )
+            assert status == 400
+            assert payload["type"] == "RecursionError"
+            assert router.metrics.received == router.metrics.bad_requests == 1
+            status, _ = await post_query(
+                router.host, router.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_router_test(one_shard_router(payload_files), body)
+
+    def test_bad_content_length_answers_400_and_closes(self, payload_files, example_points):
+        async def body(router):
+            for value in ("2048", "-1", "twelve"):  # above max_body_bytes, negative, not an integer
+                status, head, payload = await send_content_length(router.host, router.port, value)
+                assert status == 400, value
+                assert b"connection: close" in head.lower()
+                assert payload["type"] == "ContentLengthError"
+            assert router.metrics.received == router.metrics.bad_requests == 3
+            status, _ = await post_query(
+                router.host, router.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_router_test(one_shard_router(payload_files, max_body_bytes=1024), body)
+
