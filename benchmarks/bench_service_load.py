@@ -284,7 +284,7 @@ def comparable(payload):
     """The bit-identical projection of a ``/query`` answer: everything
     deterministic (venue, method, reachability, length, door sequence and
     the exact search counters), excluding wall-clock fields and the rung
-    (the ladder may legitimately answer from different rungs)."""
+    (a batch isolation re-run answers the same query as ``sequential``)."""
     stats = payload.get("statistics", {})
     return {
         "venue": payload.get("venue"),

@@ -51,13 +51,8 @@ Admission and invalidation:
   orphaning every cached tree (the hook a future graph-update path uses on
   recompilation).
 
-The optional per-interval precompute
-(:class:`~repro.core.compiled.IntervalOverlays`, serialised in the codec's
-``precompute`` section) plugs in twice: :meth:`SPTreeCache.prune_result`
-answers provably-unreachable queries without any search (opt-in via
-``prune_unreachable`` — the pruned result's counters are approximate, which
-is why the default stays off), and warmed caches skip recording runs whose
-trees are already known.
+A cached engine therefore answers bit-identically to an uncached one on
+every query: a hit replays a recorded tree, a miss runs the kernel.
 """
 
 from __future__ import annotations
@@ -97,29 +92,11 @@ class CacheConfig:
         ``"off"`` disables recording (lookups still count misses).
     promote_after:
         Miss count that promotes a key to a recorded tree in promote mode.
-    prune_unreachable:
-        Opt-in: answer provably-unreachable queries from the
-        :class:`~repro.core.compiled.IntervalOverlays` component rows
-        without searching.  Found/length stay exact; the statistics of a
-        pruned not-found answer are approximate (all-zero counters), which
-        is why this defaults to ``False`` — the bit-identity invariant
-        holds for every default path.
-    precompute:
-        Build the per-interval overlays at compile time
-        (``CompiledITGraph.build_overlays``) when the engine compiles its
-        index; they then ride along in the codec payload.
     """
 
-    __slots__ = ("max_entries", "mode", "promote_after", "prune_unreachable", "precompute")
+    __slots__ = ("max_entries", "mode", "promote_after")
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        mode: str = "promote",
-        promote_after: int = 2,
-        prune_unreachable: bool = False,
-        precompute: bool = False,
-    ):
+    def __init__(self, max_entries: int = 256, mode: str = "promote", promote_after: int = 2):
         if not isinstance(max_entries, int) or isinstance(max_entries, bool):
             raise ValueError(f"max_entries must be an integer, got {max_entries!r}")
         if max_entries < 1:
@@ -133,14 +110,11 @@ class CacheConfig:
         self.max_entries = int(max_entries)
         self.mode = mode
         self.promote_after = int(promote_after)
-        self.prune_unreachable = bool(prune_unreachable)
-        self.precompute = bool(precompute)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CacheConfig(max_entries={self.max_entries}, mode={self.mode!r}, "
-            f"promote_after={self.promote_after}, prune_unreachable={self.prune_unreachable}, "
-            f"precompute={self.precompute})"
+            f"promote_after={self.promote_after})"
         )
 
 
@@ -201,9 +175,6 @@ class TimeKeyResolver:
             return float(bisect_right(self._fallback_bounds(), query_seconds))
         return query_seconds
 
-    def interval_index(self, query_seconds: float) -> int:
-        """The checkpoint-interval index containing ``query_seconds``."""
-        return self._bitsets.index_at(query_seconds)
 
 
 class CachedTree:
@@ -289,7 +260,6 @@ class SPTreeCache:
         self.misses = 0
         self.trees_built = 0
         self.evictions = 0
-        self.pruned = 0
 
     # -- admission / eviction --------------------------------------------------
 
@@ -359,7 +329,6 @@ class SPTreeCache:
             "misses": self.misses,
             "trees_built": self.trees_built,
             "evictions": self.evictions,
-            "pruned": self.pruned,
             "entries": len(self._entries),
             "generation": self.generation,
             "max_entries": self.config.max_entries,
@@ -615,50 +584,6 @@ class SPTreeCache:
                 statistics=stats,
             ),
             self._speed,
-        )
-
-    # -- overlay-backed pruning ------------------------------------------------
-
-    def prune_result(
-        self,
-        query: ITSPQuery,
-        method_label: str,
-        kind: int,
-        source_pidx: int,
-        target_pidx: int,
-        query_seconds: float,
-    ) -> Optional[QueryResult]:
-        """A not-found answer when the overlays *prove* unreachability, else
-        ``None``.  Found/length are exact (the proof is sound: component rows
-        over-approximate reachability); the counters of a pruned answer are
-        approximate (zeros), which is why pruning is opt-in."""
-        if not self.config.prune_unreachable:
-            return None
-        overlays = self._graph.overlays
-        if overlays is None:
-            return None
-        source = query.source
-        target = query.target
-        if source_pidx == target_pidx and source.floor == target.floor:
-            return None  # the door-free direct leg always exists
-        if kind == 3 and self.resolver.interval_indexing_sound():
-            row = overlays.row_for_kind(kind, self.resolver.interval_index(query_seconds))
-        else:
-            row = overlays.row_for_kind(kind)
-        if overlays.connected(
-            row,
-            self._graph.leaveable_by_partition[source_pidx],
-            overlays.entering_doors[target_pidx],
-        ):
-            return None
-        self.pruned += 1
-        return QueryResult(
-            query=query,
-            method_label=method_label,
-            found=False,
-            path=None,
-            length=_INFINITY,
-            statistics=SearchStatistics(),
         )
 
     # -- warming ---------------------------------------------------------------

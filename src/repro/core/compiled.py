@@ -37,8 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.itgraph import ITGraph
 from repro.core.snapshot import IntervalBitsets
@@ -91,7 +90,6 @@ class CompiledITGraph:
         "door_floor",
         "leaveable_by_partition",
         "locate_specs",
-        "overlays",
         "_locate_entries",
         "_locate_grid",
     )
@@ -210,9 +208,6 @@ class CompiledITGraph:
             for partition in itgraph.space.iter_partitions()
             if partition.polygon is not None
         )
-        #: Optional per-interval precompute (:class:`IntervalOverlays`); built
-        #: on demand by :meth:`build_overlays` and carried through the codec.
-        self.overlays: Optional["IntervalOverlays"] = None
         self._install_point_location()
 
     def _install_point_location(self) -> None:
@@ -295,21 +290,8 @@ class CompiledITGraph:
         graph.door_floor = list(state["door_floor"])
         graph.leaveable_by_partition = list(state["leaveable_by_partition"])
         graph.locate_specs = tuple(state["locate_specs"])
-        graph.overlays = state.get("overlays")
         graph._install_point_location()
         return graph
-
-    def build_overlays(self, landmark_count: int = 4) -> "IntervalOverlays":
-        """Build (or rebuild) the per-interval precompute pass and attach it.
-
-        An offline cost like compilation itself: reachability closures for
-        every checkpoint interval plus interval-keyed landmark distance rows.
-        Once attached, :func:`repro.io.compiled_codec.compiled_graph_to_bytes`
-        serialises the overlays as the payload's optional ``precompute``
-        section, so venue shards rehydrate them for free.
-        """
-        self.overlays = IntervalOverlays.build(self, landmark_count=landmark_count)
-        return self.overlays
 
     @staticmethod
     def _build_floor_grid(rows):
@@ -456,253 +438,4 @@ class CompiledITGraph:
         return (
             f"CompiledITGraph({self.partition_count} partitions, {self.door_count} doors, "
             f"{self.interval_bitsets.interval_count} intervals)"
-        )
-
-
-class IntervalOverlays:
-    """Per-interval precompute: reachability closures + landmark distance rows.
-
-    Within one checkpoint interval the open-door bitset is frozen, so the
-    search graph is one member of a small family of static graphs.  This
-    class precomputes, for every interval:
-
-    * a **component row** — a connected-component label per door over the
-      doors open in that interval (closed doors get ``-1``), computed over
-      the *most permissive* door-to-door adjacency (edges through private
-      partitions included, treated as undirected).  Two doors in different
-      components are provably mutually unreachable in that interval under
-      any privacy context — the sound direction for pruning; and
-    * **landmark distance rows** — exact door-to-door shortest distances
-      from a few high-degree landmark doors over the interval's frozen
-      graph (``inf`` = unreachable), usable as triangle-inequality lower
-      bounds on door-to-door distances.
-
-    Two extra component rows cover the time-free views: row
-    ``interval_count`` labels doors that are open at *some* time of day
-    (the sound row for the arrival-time methods, whose probes move through
-    many instants), and row ``interval_count + 1`` ignores schedules
-    entirely (the row for the ``static`` method).
-
-    Overlays are deterministic functions of the compiled graph, so they
-    serialise byte-stably in the codec's optional ``precompute`` section and
-    an overlay rehydrated from bytes re-serialises to identical bytes.
-    """
-
-    __slots__ = (
-        "door_count",
-        "interval_count",
-        "component_rows",
-        "landmark_indices",
-        "landmark_rows",
-        "entering_doors",
-    )
-
-    def __init__(
-        self,
-        door_count: int,
-        interval_count: int,
-        component_rows: Tuple[array, ...],
-        landmark_indices: Tuple[int, ...],
-        landmark_rows: Tuple[Tuple[array, ...], ...],
-        entering_doors: Tuple[Tuple[int, ...], ...],
-    ):
-        if len(component_rows) != interval_count + 2:
-            raise ValueError(
-                f"expected {interval_count + 2} component rows, got {len(component_rows)}"
-            )
-        self.door_count = door_count
-        self.interval_count = interval_count
-        #: ``component_rows[i][door]`` = component label of ``door`` among the
-        #: doors open in interval ``i`` (``-1`` = closed); rows
-        #: ``interval_count`` and ``interval_count + 1`` are the any-time and
-        #: topology-only views.
-        self.component_rows = component_rows
-        self.landmark_indices = landmark_indices
-        #: ``landmark_rows[i][k][door]`` = exact distance from landmark ``k``
-        #: to ``door`` over the interval-``i`` frozen graph (``inf`` =
-        #: unreachable there).
-        self.landmark_rows = landmark_rows
-        #: Doors adjacent *into* each partition (the doors that can relax a
-        #: target inside it) — derived from the adjacency, not serialised.
-        self.entering_doors = entering_doors
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def build(cls, graph: "CompiledITGraph", landmark_count: int = 4) -> "IntervalOverlays":
-        """Compute the overlays of ``graph`` (deterministic, compile-time)."""
-        door_count = graph.door_count
-        bitsets = graph.interval_bitsets
-        interval_count = bitsets.interval_count
-
-        out_edges: List[List[Tuple[int, float]]] = [[] for _ in range(door_count)]
-        undirected = set()
-        degree = [0] * door_count
-        for door, groups in enumerate(graph.adjacency):
-            for _pidx, _is_private, edges in groups:
-                for next_door, leg in edges:
-                    out_edges[door].append((next_door, leg))
-                    degree[door] += 1
-                    undirected.add(
-                        (door, next_door) if door < next_door else (next_door, door)
-                    )
-        edge_list = sorted(undirected)
-
-        rows: List[array] = []
-        for index in range(interval_count):
-            rows.append(cls._components(door_count, edge_list, bitsets.bitset_by_index(index)))
-        any_open = bytes(1 if graph.ati_bounds[d] else 0 for d in range(door_count))
-        rows.append(cls._components(door_count, edge_list, any_open))
-        rows.append(cls._components(door_count, edge_list, b"\x01" * door_count))
-
-        count = max(0, min(landmark_count, door_count))
-        landmarks = tuple(sorted(range(door_count), key=lambda d: (-degree[d], d))[:count])
-        landmark_rows = tuple(
-            tuple(
-                cls._distances(door_count, out_edges, bitsets.bitset_by_index(index), landmark)
-                for landmark in landmarks
-            )
-            for index in range(interval_count)
-        )
-
-        return cls(
-            door_count,
-            interval_count,
-            tuple(rows),
-            landmarks,
-            landmark_rows,
-            cls.entering_from_adjacency(graph.adjacency, graph.partition_count),
-        )
-
-    @staticmethod
-    def entering_from_adjacency(adjacency, partition_count: int) -> Tuple[Tuple[int, ...], ...]:
-        """Doors whose adjacency enters each partition (deterministic order)."""
-        entering: List[List[int]] = [[] for _ in range(partition_count)]
-        for door, groups in enumerate(adjacency):
-            for pidx, _is_private, _edges in groups:
-                entering[pidx].append(door)
-        return tuple(tuple(doors) for doors in entering)
-
-    @staticmethod
-    def _components(door_count: int, edge_list, open_flags) -> array:
-        """Component label per open door (``-1`` = closed); labels are the
-        smallest door index of each component, so the row is canonical."""
-        parent = list(range(door_count))
-
-        def find(node: int) -> int:
-            root = node
-            while parent[root] != root:
-                root = parent[root]
-            while parent[node] != root:
-                parent[node], node = root, parent[node]
-            return root
-
-        for door_a, door_b in edge_list:
-            if open_flags[door_a] and open_flags[door_b]:
-                root_a = find(door_a)
-                root_b = find(door_b)
-                if root_a != root_b:
-                    if root_a < root_b:
-                        parent[root_b] = root_a
-                    else:
-                        parent[root_a] = root_b
-        row = array("i", [-1]) * door_count
-        for door in range(door_count):
-            if open_flags[door]:
-                row[door] = find(door)
-        return row
-
-    @staticmethod
-    def _distances(door_count: int, out_edges, open_flags, landmark: int) -> array:
-        """Exact Dijkstra distances from ``landmark`` over the open doors."""
-        infinity = math.inf
-        dist = array("d", [infinity]) * door_count
-        if not open_flags[landmark]:
-            return dist
-        dist[landmark] = 0.0
-        settled = bytearray(door_count)
-        heap: List[Tuple[float, int]] = [(0.0, landmark)]
-        while heap:
-            distance, door = heappop(heap)
-            if settled[door]:
-                continue
-            settled[door] = 1
-            for next_door, leg in out_edges[door]:
-                if settled[next_door] or not open_flags[next_door]:
-                    continue
-                candidate = distance + leg
-                if candidate < dist[next_door]:
-                    dist[next_door] = candidate
-                    heappush(heap, (candidate, next_door))
-        return dist
-
-    # -- probes ----------------------------------------------------------------
-
-    @property
-    def any_time_row(self) -> int:
-        """Index of the any-time component row (arrival-time methods)."""
-        return self.interval_count
-
-    @property
-    def topology_row(self) -> int:
-        """Index of the schedule-free component row (``static`` method)."""
-        return self.interval_count + 1
-
-    def row_for_kind(self, kind: int, interval_index: Optional[int] = None) -> array:
-        """The sound component row for one TV-check dispatch kind.
-
-        ``static`` never looks at the clock (topology row); ``query-time``
-        probes exactly one interval (its row, when the caller knows the
-        index); the arrival-time methods probe many instants, so only the
-        any-time row is sound for them.
-        """
-        if kind == 2:
-            return self.component_rows[self.topology_row]
-        if kind == 3 and interval_index is not None:
-            return self.component_rows[min(interval_index, self.interval_count - 1)]
-        return self.component_rows[self.any_time_row]
-
-    def connected(self, row: array, doors_a, doors_b) -> bool:
-        """Whether any open door of ``doors_a`` shares a component with any
-        open door of ``doors_b`` under ``row`` (the *may-be-reachable* test;
-        ``False`` is a proof of unreachability)."""
-        components = {row[door] for door in doors_a if row[door] >= 0}
-        if not components:
-            return False
-        for door in doors_b:
-            label = row[door]
-            if label >= 0 and label in components:
-                return True
-        return False
-
-    def landmark_bound(self, interval_index: int, door_a: int, door_b: int) -> float:
-        """Triangle-inequality lower bound on the interval's door-to-door
-        distance: ``max_k |d(L_k, a) - d(L_k, b)|`` (``inf`` = provably
-        unreachable, ``0.0`` = no information)."""
-        best = 0.0
-        for row in self.landmark_rows[min(interval_index, self.interval_count - 1)]:
-            da = row[door_a]
-            db = row[door_b]
-            finite_a = da < math.inf
-            finite_b = db < math.inf
-            if finite_a and finite_b:
-                gap = da - db if da >= db else db - da
-                if gap > best:
-                    best = gap
-            elif finite_a or finite_b:
-                return math.inf
-        return best
-
-    def memory_bytes(self) -> int:
-        """Approximate footprint of the overlay arrays (for reports)."""
-        component_bytes = sum(row.itemsize * len(row) for row in self.component_rows)
-        landmark_bytes = sum(
-            row.itemsize * len(row) for per_interval in self.landmark_rows for row in per_interval
-        )
-        return component_bytes + landmark_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IntervalOverlays({self.interval_count} intervals, {self.door_count} doors, "
-            f"{len(self.landmark_indices)} landmarks)"
         )

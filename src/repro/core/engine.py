@@ -142,7 +142,7 @@ class ITSPQEngine:
         self._compiled_enabled = bool(compiled)
         # ``cache`` opts into the interval-keyed shortest-path-tree cache on
         # the compiled path: ``True`` enables the defaults, a CacheConfig
-        # tunes capacity/admission/precompute, ``None``/``False`` keeps every
+        # tunes capacity and admission, ``None``/``False`` keeps every
         # query on the fresh-search path (the default — caching is a
         # service-workload optimisation, not a correctness feature).
         self._cache_config = self._normalise_cache_option(cache)
@@ -239,8 +239,6 @@ class ITSPQEngine:
             self._compiled_graph = self._itgraph.compiled()
             self._compiled_store = self._compiled_graph.interval_bitsets.store()
         if self._cache_config is not None and self._cache is None:
-            if self._cache_config.precompute and self._compiled_graph.overlays is None:
-                self._compiled_graph.build_overlays()
             self._cache = SPTreeCache(
                 self._compiled_graph,
                 self._compiled_store,
@@ -326,7 +324,9 @@ class ITSPQEngine:
                 if self._cache is None:
                     result = self._search_one(group, deadline)
                 else:
-                    result = self._cached_one(group, deadline)
+                    # lookup → promote → record → replay; a key not admitted
+                    # yet runs the kernel.
+                    result = self._executor().run_planned((group,), deadline)[0][1]
                 result.statistics.runtime_seconds = time.perf_counter() - started
                 return result
             if isinstance(semantics, NoWait):
@@ -345,13 +345,6 @@ class ITSPQEngine:
         """The engine's shortest-path-tree cache (``None`` when caching is
         off or the compiled index is not yet built)."""
         return self._cache
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether the engine was configured with an SP-tree cache (true
-        even before the lazy compiled build materialises it) — the seam the
-        service uses to decide whether a cache-replay rung exists."""
-        return self._cache_config is not None
 
     @property
     def cache_stats(self) -> Optional[Dict[str, object]]:
@@ -398,59 +391,6 @@ class ITSPQEngine:
             deadline,
             partition_once=self._partition_once,
         )[0]
-
-    def _cached_one(
-        self, group: BatchGroup, deadline: Optional[SearchDeadline] = None
-    ) -> QueryResult:
-        """Answer a group of one on a cached engine: the opt-in overlay
-        pruning, then the batch executor's lookup → promote → record →
-        replay sequence (a key not admitted yet runs the kernel)."""
-        _order, query, target_pidx = group.members[0]
-        if isinstance(query.semantics, NoWait):
-            # The overlay-based unreachability pruning is proven only for the
-            # paper's semantics (waiting can cross a component boundary in
-            # time), so the other semantics always consult a tree.
-            pruned = self._cache.prune_result(
-                query,
-                group.method_label,
-                group.kind,
-                group.source_pidx,
-                target_pidx,
-                query.query_time.seconds,
-            )
-            if pruned is not None:
-                return pruned
-        return self._executor().run_planned((group,), deadline)[0][1]
-
-    def answer_from_cache(
-        self,
-        itsp_query: ITSPQuery,
-        method: MethodLike = CheckMethod.SYNCHRONOUS,
-    ) -> Optional[QueryResult]:
-        """Answer a query **only** if its shortest-path tree is already
-        cached; ``None`` on a cache miss (no search, no recording run).
-
-        This is the replay-only seam the service's deepest degradation rung
-        uses when every search tier is unhealthy: a hit costs O(path length)
-        and is bit-identical to a fresh search by the cache parity contract;
-        a miss costs one key computation.  Requires an engine cache
-        (``cache=...``) and the compiled fast path.
-        """
-        if not self._compiled_enabled:
-            raise QueryError("cache replay requires the compiled fast path")
-        self.ensure_compiled()
-        cache = self._cache
-        if cache is None:
-            raise QueryError("cache replay requires an engine cache (cache=... option)")
-        method_name = canonical_method(_normalise_method(method))
-        group = self._plan_one(itsp_query, method_name)
-        tree = cache.lookup(group.cache_key)
-        if tree is None:
-            return None
-        started = time.perf_counter()
-        result = cache.answer(tree, itsp_query, group.members[0][2])
-        result.statistics.runtime_seconds = time.perf_counter() - started
-        return result
 
     def batch_executor(self) -> BatchExecutor:
         """The engine's :class:`~repro.core.batch.BatchExecutor` (built lazily).

@@ -81,11 +81,12 @@ class ServiceOverloadedError(ServiceError):
     """The service shed a request because offered load exceeds capacity.
 
     The admission controller raises this when the bounded pending queue is
-    full, and the cache-replay-only degradation rung raises it for queries
-    whose shortest-path tree is not cached.  Maps to HTTP 429.
+    full; the shard router answers with this type when a shard's in-flight
+    budget is spent.  Maps to HTTP 429.
     """
 
 
 class ServiceUnavailableError(ServiceError):
-    """The service cannot take the request at all (draining, no venue, or no
-    execution rung available).  Maps to HTTP 503."""
+    """The service cannot take the request at all: it is not started yet or
+    is draining, or (at the shard router) no shard serving the venue is up.
+    Maps to HTTP 503."""

@@ -17,14 +17,11 @@ A versioned little-endian binary layout (version 3):
   logical block of the compiled graph (interned id tables, partition flags,
   dense ``DM`` matrices, flattened adjacency, ATI boundary arrays, open-door
   bitsets, door geometry, leaveable-door lists and the point-location
-  polygon rows — see :data:`SECTION_NAMES`), optionally followed by one
-  ``precompute`` section (:data:`OPTIONAL_SECTION_NAME`) holding the graph's
-  :class:`~repro.core.compiled.IntervalOverlays` — per-interval component
-  rows and landmark distance rows, present iff the graph carries overlays,
+  polygon rows — see :data:`SECTION_NAMES`),
 * a trailing CRC32 over everything before it (the whole-payload checksum).
 
-Version 3 differs from version 2 only in allowing the optional tenth
-section; version-2 payloads (always exactly nine sections) still load.
+Payloads of versions 2 and 3 carry exactly these nine sections and both
+load; any other section count is a :class:`~repro.exceptions.SerializationError`.
 
 All floats are IEEE-754 doubles written verbatim, so every distance,
 boundary instant and polygon vertex round-trips **exactly** — the
@@ -53,7 +50,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.core.compiled import CompiledITGraph, IntervalOverlays
+from repro.core.compiled import CompiledITGraph
 from repro.core.snapshot import IntervalBitsets
 from repro.exceptions import CorruptPayloadError, SerializationError
 from repro.geometry.point import Point2D
@@ -62,14 +59,14 @@ from repro.geometry.polygon import Polygon, Rectangle
 #: Magic prefix of every payload; the trailing pair is the format version.
 _MAGIC = b"RPROCG"
 #: Version 2 added the CRC-checksummed section table (version-1 payloads,
-#: which carried no integrity information at all, are rejected); version 3
-#: added the optional ``precompute`` section.  Both still load.
+#: which carried no integrity information at all, are rejected).  Versions 2
+#: and 3 share one layout, so both load.
 _VERSION = 3
 _SUPPORTED_VERSIONS = (2, 3)
 _HEADER = struct.Struct("<6sH")
 _U32 = struct.Struct("<I")
 
-#: The mandatory checksummed sections of a payload, in serialisation order.
+#: The checksummed sections of a payload, in serialisation order.
 SECTION_NAMES = (
     "id-tables",
     "partition-flags",
@@ -81,10 +78,6 @@ SECTION_NAMES = (
     "leaveable-doors",
     "point-location",
 )
-
-#: The optional trailing section (version 3+): serialised
-#: :class:`~repro.core.compiled.IntervalOverlays`.
-OPTIONAL_SECTION_NAME = "precompute"
 
 _POLYGON_KIND = 0
 _RECTANGLE_KIND = 1
@@ -315,81 +308,17 @@ def _sections_of(graph: CompiledITGraph) -> List[bytes]:
     return sections
 
 
-def _precompute_section(overlays: IntervalOverlays) -> bytes:
-    """The optional ``precompute`` section: serialised overlay arrays.
-
-    ``entering_doors`` is a pure function of the adjacency section and is
-    rederived at decode time rather than serialised.
-    """
-    writer = _Writer()
-    writer.u32(overlays.door_count)
-    writer.u32(overlays.interval_count)
-    for row in overlays.component_rows:
-        writer.i32_array(row)
-    writer.u32(len(overlays.landmark_indices))
-    writer.u32_array(overlays.landmark_indices)
-    for per_interval in overlays.landmark_rows:
-        for row in per_interval:
-            writer.f64_array(row)
-    return writer.getvalue()
-
-
-def _decode_precompute(
-    section: bytes, adjacency, partition_count: int, door_count: int, interval_count: int
-) -> IntervalOverlays:
-    """Rebuild :class:`IntervalOverlays` from the optional section's bytes."""
-    reader = _Reader(section)
-    stored_doors = reader.u32()
-    stored_intervals = reader.u32()
-    if stored_doors != door_count or stored_intervals != interval_count:
-        raise SerializationError(
-            f"precompute section disagrees with the compiled graph: "
-            f"{stored_doors} doors / {stored_intervals} intervals, "
-            f"expected {door_count} / {interval_count}"
-        )
-    component_rows = tuple(reader.i32_array() for _ in range(interval_count + 2))
-    for row in component_rows:
-        if len(row) != door_count:
-            raise SerializationError("precompute component row disagrees with the door table")
-    landmark_count = reader.u32()
-    landmark_indices = tuple(reader.u32_array())
-    if len(landmark_indices) != landmark_count:
-        raise SerializationError("precompute landmark table disagrees with its count word")
-    landmark_rows = []
-    for _ in range(interval_count):
-        per_interval = tuple(reader.f64_array() for _ in range(landmark_count))
-        for row in per_interval:
-            if len(row) != door_count:
-                raise SerializationError(
-                    "precompute landmark row disagrees with the door table"
-                )
-        landmark_rows.append(per_interval)
-    if not reader.done():
-        raise SerializationError("trailing bytes after the precompute section data")
-    return IntervalOverlays(
-        door_count,
-        interval_count,
-        component_rows,
-        landmark_indices,
-        tuple(landmark_rows),
-        IntervalOverlays.entering_from_adjacency(adjacency, partition_count),
-    )
-
-
 def compiled_graph_to_bytes(graph: CompiledITGraph) -> bytes:
     """Serialise a compiled graph (including its interval bitsets) to bytes.
 
     The payload captures everything query execution touches — a graph
     rebuilt by :func:`compiled_graph_from_bytes` plans and answers the same
-    workloads with bit-identical results (precompute overlays riding along
-    when the graph carries them).  It does **not** capture the source
+    workloads with bit-identical results.  It does **not** capture the source
     :class:`~repro.core.itgraph.ITGraph`.  Every section carries a CRC32 and
     the whole payload a trailing CRC32, so in-flight damage is detected at
     rehydration instead of decoded into a wrong index.
     """
     sections = _sections_of(graph)
-    if graph.overlays is not None:
-        sections.append(_precompute_section(graph.overlays))
     parts: List[bytes] = [_U32.pack(len(sections))]
     for section in sections:
         parts.append(_U32.pack(len(section)))
@@ -407,8 +336,7 @@ def _checked_sections(data: bytes) -> List[Tuple[str, bytes]]:
     trailing bytes, impossible section table) raise
     :class:`SerializationError`; intact framing with mismatching checksums —
     damaged content — raises :class:`CorruptPayloadError`.  The result lists
-    the nine mandatory sections, plus the ``precompute`` section when the
-    (version-3) payload carries one.
+    the nine sections of :data:`SECTION_NAMES`.
     """
     prefix = _HEADER.size + _U32.size
     if len(data) < prefix + _U32.size:
@@ -441,20 +369,13 @@ def _checked_sections(data: bytes) -> List[Tuple[str, bytes]]:
     end = total - _U32.size
     (section_count,) = _U32.unpack_from(data, offset)
     offset += _U32.size
-    names = list(SECTION_NAMES)
-    if version >= 3 and section_count == len(SECTION_NAMES) + 1:
-        names.append(OPTIONAL_SECTION_NAME)
-    elif section_count != len(SECTION_NAMES):
-        expected = (
-            f"{len(SECTION_NAMES)} or {len(SECTION_NAMES) + 1}"
-            if version >= 3
-            else f"{len(SECTION_NAMES)}"
-        )
+    if section_count != len(SECTION_NAMES):
         raise SerializationError(
-            f"compiled-graph payload carries {section_count} sections, expected {expected}"
+            f"compiled-graph payload carries {section_count} sections, "
+            f"expected {len(SECTION_NAMES)}"
         )
     sections: List[Tuple[str, bytes]] = []
-    for name in names:
+    for name in SECTION_NAMES:
         if offset + 2 * _U32.size > end:
             raise SerializationError(
                 f"section table ends after {len(sections)} of {section_count} "
@@ -518,12 +439,7 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
         When the framing is intact but a section CRC or the whole-payload
         CRC does not match (bit-flips, partial overwrites).
     """
-    named_sections = _checked_sections(data)
-    precompute: Optional[bytes] = None
-    if named_sections and named_sections[-1][0] == OPTIONAL_SECTION_NAME:
-        precompute = named_sections[-1][1]
-        named_sections = named_sections[:-1]
-    reader = _Reader(b"".join(section for _name, section in named_sections))
+    reader = _Reader(b"".join(section for _name, section in _checked_sections(data)))
 
     door_ids = [reader.text() for _ in range(reader.u32())]
     partition_ids = [reader.text() for _ in range(reader.u32())]
@@ -596,16 +512,6 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
             "compiled-graph section data"
         )
 
-    overlays: Optional[IntervalOverlays] = None
-    if precompute is not None:
-        overlays = _decode_precompute(
-            precompute,
-            adjacency,
-            partition_count,
-            door_count,
-            interval_bitsets.interval_count,
-        )
-
     return CompiledITGraph._from_state(
         {
             "door_ids": door_ids,
@@ -622,6 +528,5 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
             "door_floor": door_floor,
             "leaveable_by_partition": leaveable_by_partition,
             "locate_specs": locate_specs,
-            "overlays": overlays,
         }
     )

@@ -14,10 +14,10 @@ robustness machinery:
 * **admission control** — a bounded pending-request budget sheds load with
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) and a
   semaphore caps in-flight batches (:mod:`repro.service.admission`);
-* **a circuit-breaker degradation ladder** — batch → sequential compiled
-  → cache-replay-only, each rung guarded by a breaker scored from
-  outcomes, with bounded-backoff recovery probes
-  (:mod:`repro.service.degradation`);
+* **batch isolation** — a micro-batch whose shared search raises
+  :class:`~repro.exceptions.QueryError` re-runs its members one by one, so
+  only the malformed member answers 400; any other failure answers its
+  batch with a typed 500 and the service keeps serving;
 * **graceful lifecycle** — ``/healthz`` / ``/readyz`` / ``/metrics``
   endpoints and idempotent drain-then-close shutdown
   (:mod:`repro.service.server`);
@@ -28,22 +28,19 @@ robustness machinery:
   health/metrics), the ``--shards`` mode of ``python -m repro.service``
   and the one way to use more than one core (:mod:`repro.service.shard`).
 
-Every rung answers **bit-identically** to the sequential oracle (the
-repository's standing parity invariant); degradation changes latency and
-availability, never answers.  ``python -m repro.service`` runs a server;
+Both execution paths answer **bit-identically** to the sequential oracle
+(the repository's standing parity invariant).  ``python -m repro.service``
+runs a server;
 ``benchmarks/bench_service_load.py`` drives it with open-loop load.
 """
 
 from repro.service.admission import AdmissionController
-from repro.service.degradation import CircuitBreaker, DegradationLadder
 from repro.service.metrics import ServiceMetrics, aggregate_request_snapshots
 from repro.service.server import ITSPQService, ServiceConfig
 from repro.service.shard import ShardRouter, ShardRouterConfig, ShardSpec, plan_shards
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
-    "DegradationLadder",
     "ServiceMetrics",
     "ITSPQService",
     "ServiceConfig",

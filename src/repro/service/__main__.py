@@ -133,7 +133,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Serve ITSPQ queries over localhost HTTP with deadlines, "
-        "admission control and a degradation ladder — one process per venue set, "
+        "admission control and batch isolation — one process per venue set, "
         "or a sharded router over N worker processes (--shards).",
     )
     parser.add_argument(
@@ -158,7 +158,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--cache",
         choices=("off", "promote", "eager"),
         default="promote",
-        help="SP-tree cache mode (an enabled cache adds the cache-replay rung)",
+        help="SP-tree cache mode",
     )
     parser.add_argument("--window-ms", type=float, default=5.0, help="micro-batch window")
     parser.add_argument("--max-batch", type=int, default=16)
@@ -167,9 +167,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--deadline-ms", type=float, default=None, help="default per-request budget"
     )
-    parser.add_argument("--breaker-threshold", type=int, default=3)
-    parser.add_argument("--breaker-backoff", type=float, default=0.5)
-    parser.add_argument("--breaker-backoff-cap", type=float, default=30.0)
     router = parser.add_argument_group("router options (only with --shards)")
     router.add_argument(
         "--pool-size", type=int, default=4, help="idle keep-alive connections kept per shard"
@@ -211,9 +208,6 @@ def forwarded_worker_args(args: argparse.Namespace) -> Tuple[str, ...]:
         "--max-batch", str(args.max_batch),
         "--max-pending", str(args.max_pending),
         "--max-inflight", str(args.max_inflight),
-        "--breaker-threshold", str(args.breaker_threshold),
-        "--breaker-backoff", str(args.breaker_backoff),
-        "--breaker-backoff-cap", str(args.breaker_backoff_cap),
     ]
     if args.deadline_ms is not None:
         forwarded.extend(("--deadline-ms", str(args.deadline_ms)))
@@ -248,9 +242,6 @@ async def amain(args: argparse.Namespace) -> None:
             max_pending=args.max_pending,
             max_inflight_batches=args.max_inflight,
             default_deadline_ms=args.deadline_ms,
-            breaker_failure_threshold=args.breaker_threshold,
-            breaker_backoff_base=args.breaker_backoff,
-            breaker_backoff_cap=args.breaker_backoff_cap,
         )
         front = ITSPQService(engines, config)
     await front.start()

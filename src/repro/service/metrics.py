@@ -3,7 +3,8 @@
 Deliberately dependency-free: a bounded reservoir of recent request
 latencies (newest-wins ring buffer, so percentiles reflect the current
 regime rather than the whole process lifetime) plus plain counters keyed by
-outcome and by degradation rung.  The load-generator benchmark reads the
+outcome and by rung (the shared ``batch`` search or the ``sequential``
+re-run that isolates a malformed member).  The load-generator benchmark reads the
 same snapshot shape it writes to ``BENCH_service.json``, so the service's
 self-reported numbers and the bench's externally-measured ones line up
 field for field.
@@ -23,9 +24,9 @@ class ServiceMetrics:
             raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
         self.received = 0
         self.answered = 0
-        self.shed = 0  # 429s: admission + cache-replay misses
+        self.shed = 0  # 429s: admission
         self.deadline_exceeded = 0  # 504s
-        self.bad_requests = 0  # 400s
+        self.bad_requests = 0  # 400s, plus 411/431 framing refusals
         self.client_timeouts = 0  # 408s: slow clients
         self.unavailable = 0  # 503s: draining / not ready
         self.internal_errors = 0  # 500s
@@ -41,7 +42,7 @@ class ServiceMetrics:
             self.shed += 1
         elif status == 504:
             self.deadline_exceeded += 1
-        elif status == 400:
+        elif status in (400, 411, 431):
             self.bad_requests += 1
         elif status == 408:
             self.client_timeouts += 1

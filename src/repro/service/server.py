@@ -1,4 +1,4 @@
-"""The asyncio ITSPQ query service: HTTP front-end, micro-batching, rungs.
+"""The asyncio ITSPQ query service: HTTP front-end and micro-batching.
 
 One :class:`ITSPQService` owns a set of named venues (each an
 :class:`~repro.core.engine.ITSPQEngine`, built normally or rehydrated from a
@@ -9,26 +9,31 @@ dependency-free, like the rest of the repository:
 ``POST /query``
     Body: ``{"venue": name?, "source": [x, y, floor], "target":
     [x, y, floor], "time": "HH:MM[:SS]", "method": name?, "deadline_ms":
-    number?}``.  Answers 200 with the result, 400 for malformed queries,
-    408 for slow clients, 429 when shed, 503 while draining, 504 on
-    deadline expiry, 500 otherwise — each error body carries the typed
-    exception name.
+    number?}``, with the time inside one day.  Answers 200 with the result,
+    400 for malformed queries, 408 for slow clients, 411 for a
+    ``Transfer-Encoding`` body, 429 when shed, 431 for an oversized header
+    block, 503 while draining, 504 on deadline expiry, 500 otherwise — each
+    error body carries the typed exception name.
 ``GET /healthz`` / ``GET /readyz`` / ``GET /metrics``
     Liveness (always 200 while the process runs), readiness (503 before
-    start and while draining, with rung/breaker detail), and the full
-    counter snapshot (requests, admission, ladder, per-venue engine stats).
+    start and while draining), and the full counter snapshot (requests,
+    admission, per-venue engine stats).
 
 Request path
 ------------
 Admitted queries are buffered per ``(venue, method)`` for at most
 ``batch_window_ms`` (or until ``max_batch`` members arrive), then flushed as
-one micro-batch through the :class:`~repro.service.degradation.DegradationLadder`:
-the batch runs on the highest healthy rung — batch, sequential compiled,
-cache-replay — descending on rung failure, with outcomes scored into the
-rungs' circuit breakers.  Engines are synchronous and their shared state —
-the SP-tree cache's LRU and counters — is **not** thread-safe, so every
-rung execution runs on a worker thread under a per-venue lock; concurrency
-comes from batching, not from racing searches.
+one micro-batch through ``engine.run_batch``.  When that shared search
+raises :class:`~repro.exceptions.QueryError` — one malformed member poisons
+the group — every member is re-run on its own with ``engine.run``, so the
+others still answer and only the culprit gets its typed 400; the answers
+of that re-run carry ``"rung": "sequential"`` instead of ``"batch"``.  Any
+other exception answers every member of the batch with it (a typed 500, or
+504 for an expired deadline) and the service keeps serving: both paths run
+the same kernel, so nothing is retried.  Engines are synchronous and their
+shared state — the SP-tree cache's LRU and counters — is **not**
+thread-safe, so every execution runs on a worker thread under a per-venue
+lock; concurrency comes from batching, not from racing searches.
 
 Deadlines compose with batching conservatively: a micro-batch's shared
 budget is the *largest* remaining member budget (no budget at all if any
@@ -51,8 +56,8 @@ import asyncio
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.deadline import SearchDeadline
 from repro.core.engine import ITSPQEngine
@@ -60,21 +65,15 @@ from repro.core.query import ITSPQuery, QueryResult
 from repro.core.tvcheck import canonical_method
 from repro.exceptions import (
     DeadlineExceededError,
+    InvalidTimeError,
     QueryError,
     ReproError,
     ServiceOverloadedError,
-    ServiceUnavailableError,
 )
 from repro.geometry.point import IndoorPoint
 from repro.service.admission import AdmissionController
-from repro.service.degradation import (
-    RUNG_BATCH,
-    RUNG_CACHE_REPLAY,
-    RUNG_SEQUENTIAL,
-    DegradationLadder,
-)
 from repro.service.metrics import ServiceMetrics
-from repro.service.wire import ContentLengthError, read_request
+from repro.service.wire import FramingError, read_request
 
 _REASONS = {
     200: "OK",
@@ -82,11 +81,18 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    411: "Length Required",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: The ``"rung"`` of an answer: the shared micro-batch search, or the
+#: one-by-one re-run that isolates a member whose query poisoned it.
+RUNG_BATCH = "batch"
+RUNG_SEQUENTIAL = "sequential"
 
 
 @dataclass
@@ -117,15 +123,6 @@ class ServiceConfig:
     drain_timeout_seconds:
         How long :meth:`ITSPQService.aclose` waits for in-flight handlers
         after the batch queue empties.
-    breaker_failure_threshold / breaker_backoff_base / breaker_backoff_cap:
-        The per-rung circuit-breaker tuning.
-    breaker_clock:
-        Injectable monotonic clock for the breakers (chaos tests advance a
-        fake clock instead of sleeping through recovery backoffs).
-    rung_fault_hook:
-        Test seam: called as ``hook(rung, venue)`` before a batch executes
-        on a rung; an exception it raises is that rung's failure.  ``None``
-        in production.
     max_body_bytes:
         Request bodies above this answer 400 (as does a negative or
         non-integer ``Content-Length``), without the body being read.
@@ -140,11 +137,6 @@ class ServiceConfig:
     default_deadline_ms: Optional[float] = None
     client_timeout_seconds: float = 5.0
     drain_timeout_seconds: float = 10.0
-    breaker_failure_threshold: int = 3
-    breaker_backoff_base: float = 0.5
-    breaker_backoff_cap: float = 30.0
-    breaker_clock: Callable[[], float] = time.monotonic
-    rung_fault_hook: Optional[Callable[[str, str], None]] = field(default=None, repr=False)
     max_body_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
@@ -169,18 +161,6 @@ class ServiceConfig:
         if self.drain_timeout_seconds < 0:
             raise ValueError(
                 f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ValueError(
-                f"breaker_failure_threshold must be positive, got {self.breaker_failure_threshold}"
-            )
-        if self.breaker_backoff_base < 0:
-            raise ValueError(
-                f"breaker_backoff_base must be non-negative, got {self.breaker_backoff_base}"
-            )
-        if self.breaker_backoff_cap < 0:
-            raise ValueError(
-                f"breaker_backoff_cap must be non-negative, got {self.breaker_backoff_cap}"
             )
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
@@ -207,19 +187,9 @@ class ITSPQService:
         self._engines: Dict[str, ITSPQEngine] = dict(engines)
         self._config = config if config is not None else ServiceConfig()
         # One lock per venue: the SP-tree cache's LRU and counters are not
-        # thread-safe, so every rung execution of a venue is serialised
-        # across worker threads.
+        # thread-safe, so every execution of a venue is serialised across
+        # worker threads.
         self._locks: Dict[str, threading.Lock] = {name: threading.Lock() for name in self._engines}
-        rungs: List[str] = [RUNG_BATCH, RUNG_SEQUENTIAL]
-        if all(engine.cache_enabled for engine in self._engines.values()):
-            rungs.append(RUNG_CACHE_REPLAY)
-        self._ladder = DegradationLadder(
-            rungs,
-            failure_threshold=self._config.breaker_failure_threshold,
-            backoff_base=self._config.breaker_backoff_base,
-            backoff_cap=self._config.breaker_backoff_cap,
-            clock=self._config.breaker_clock,
-        )
         self._admission = AdmissionController(
             self._config.max_pending, self._config.max_inflight_batches
         )
@@ -245,9 +215,9 @@ class ITSPQService:
     ) -> "ITSPQService":
         """A service whose venues are rehydrated from codec payloads — the
         shard hand-off deployment: no object-level IT-Graph is ever built in
-        the serving process.  ``cache`` (default ``True``) is passed to every
-        :meth:`~repro.core.engine.ITSPQEngine.from_compiled_payload`, so the
-        cache-replay rung exists unless explicitly disabled."""
+        the serving process.  ``cache`` (default ``True``: an SP-tree cache
+        with the default admission) is passed to every
+        :meth:`~repro.core.engine.ITSPQEngine.from_compiled_payload`."""
         kwargs: Dict[str, Any] = {"cache": cache}
         if walking_speed is not None:
             kwargs["walking_speed"] = walking_speed
@@ -262,10 +232,6 @@ class ITSPQService:
     @property
     def config(self) -> ServiceConfig:
         return self._config
-
-    @property
-    def ladder(self) -> DegradationLadder:
-        return self._ladder
 
     @property
     def admission(self) -> AdmissionController:
@@ -348,14 +314,17 @@ class ITSPQService:
                         keep_alive=False,
                     )
                     return
-                except ContentLengthError as exc:
+                except FramingError as exc:
                     self._metrics.received += 1
-                    self._metrics.observe_outcome(400)
+                    self._metrics.observe_outcome(exc.status)
                     await self._respond(
-                        writer, 400, {"error": str(exc), "type": type(exc).__name__}, keep_alive=False
+                        writer,
+                        exc.status,
+                        {"error": str(exc), "type": type(exc).__name__},
+                        keep_alive=False,
                     )
                     return
-                except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
+                except (asyncio.IncompleteReadError, ConnectionError):
                     return  # disconnect or garbage framing: nothing to answer
                 if request is None:
                     return  # EOF or idle between requests: close without a reply
@@ -420,7 +389,6 @@ class ITSPQService:
                 "status": "ready" if ready else "not-ready",
                 "draining": self._draining,
                 "venues": list(self._engines),
-                "ladder": self._ladder.snapshot(),
                 "admission": self._admission.snapshot(),
             }
             await self._respond(writer, 200 if ready else 503, payload)
@@ -442,7 +410,9 @@ class ITSPQService:
         return {
             "requests": self._metrics.snapshot(),
             "admission": self._admission.snapshot(),
-            "ladder": self._ladder.snapshot(),
+            # A constant: perfbench's traced runs read ``rungs[0]`` and
+            # ``breakers`` here (docs/OPERATIONS.md, section 6).
+            "ladder": {"rungs": [RUNG_BATCH, RUNG_SEQUENTIAL], "breakers": {}},
             "venues": venues,
         }
 
@@ -467,10 +437,6 @@ class ITSPQService:
             return 200, self._result_payload(result, rung, venue)
         except DeadlineExceededError as exc:
             return 504, {"error": str(exc), "type": type(exc).__name__}
-        except ServiceOverloadedError as exc:
-            return 429, {"error": str(exc), "type": type(exc).__name__}
-        except ServiceUnavailableError as exc:
-            return 503, {"error": str(exc), "type": type(exc).__name__}
         except QueryError as exc:
             return 400, {"error": str(exc), "type": type(exc).__name__}
         except Exception as exc:  # noqa: BLE001 - the typed 500 boundary
@@ -502,6 +468,10 @@ class ITSPQService:
             return IndoorPoint(float(raw[0]), float(raw[1]), floor)
 
         query = ITSPQuery(point("source"), point("target"), document["time"])
+        if not query.query_time.within_day:
+            raise InvalidTimeError(
+                f"query time {query.query_time.seconds:g} s is outside one day (0..86400 s)"
+            )
         deadline_ms = document.get("deadline_ms", self._config.default_deadline_ms)
         deadline = None
         if deadline_ms is not None:
@@ -565,50 +535,30 @@ class ITSPQService:
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)
 
-    # -- rung execution --------------------------------------------------------
+    # -- batch execution -------------------------------------------------------
 
     async def _run_batch(self, venue: str, method_name: str, members: List[_Member]) -> None:
-        """Run one flushed micro-batch down the ladder and resolve futures."""
+        """Run one flushed micro-batch and resolve its members' futures."""
         engine = self._engines[venue]
         lock = self._locks[venue]
-        rung = None
-        outcomes: List[Any] = []
+        rung = RUNG_BATCH
         async with self._admission:
-            rung = self._ladder.select()
-            while True:
+            try:
                 try:
                     outcomes = await asyncio.to_thread(
-                        self._execute_rung, engine, lock, venue, rung, method_name, members
+                        self._run_shared, engine, lock, method_name, members
                     )
-                except DeadlineExceededError as exc:
-                    # The shared budget (the *largest* member budget) ran
-                    # out: every member is expired.  Not the rung's fault.
-                    self._ladder.record(rung, True)
-                    outcomes = [exc] * len(members)
-                    break
-                except QueryError as exc:
-                    # A malformed member poisons a shared group search; the
-                    # sequential rung isolates it so the other members still
-                    # answer.  Not a rung-health event.
-                    if rung == RUNG_BATCH:
-                        self._ladder.record(rung, True)
-                        rung = RUNG_SEQUENTIAL
-                        continue
-                    # Lower rungs catch QueryError per member; reaching here
-                    # means the fault hook raised it — answer it typed.
-                    outcomes = [exc] * len(members)
-                    break
-                except Exception as exc:  # noqa: BLE001 - rung failure boundary
-                    self._ladder.record(rung, False)
-                    lower = self._ladder.select(start_after=rung)
-                    if lower == rung:
-                        outcomes = [exc] * len(members)
-                        break
-                    rung = lower
-                    continue
-                else:
-                    self._ladder.record(rung, True)
-                    break
+                except QueryError:
+                    # A malformed member poisons the shared group search:
+                    # re-run the members one by one so the others still answer.
+                    rung = RUNG_SEQUENTIAL
+                    outcomes = await asyncio.to_thread(
+                        self._run_each, engine, lock, method_name, members
+                    )
+            except Exception as exc:  # noqa: BLE001 - the typed 500 boundary
+                # Also an expired shared budget (the *largest* member
+                # budget): every member is expired then, and answers 504.
+                outcomes = [exc] * len(members)
         answered = sum(1 for outcome in outcomes if isinstance(outcome, QueryResult))
         if answered:
             self._metrics.observe_rung(rung, answered)
@@ -620,55 +570,35 @@ class ITSPQService:
             else:
                 member.future.set_result((outcome, rung))
 
-    def _execute_rung(
-        self,
-        engine: ITSPQEngine,
-        lock: threading.Lock,
-        venue: str,
-        rung: str,
-        method_name: str,
-        members: List[_Member],
+    def _run_shared(
+        self, engine: ITSPQEngine, lock: threading.Lock, method_name: str, members: List[_Member]
     ) -> List[Any]:
-        """Synchronous rung execution on a worker thread (venue serialised).
-
-        Returns per-member outcomes (a :class:`QueryResult` or the typed
-        exception); raises on rung-level failure."""
-        hook = self._config.rung_fault_hook
-        if hook is not None:
-            hook(rung, venue)
-        queries = [member.query for member in members]
+        """The micro-batch as one ``run_batch`` call (worker thread, venue
+        serialised); per-member outcomes are results or expired deadlines."""
         with lock:
-            if rung == RUNG_BATCH:
-                group_deadline = self._group_deadline(members)
-                results = engine.run_batch(queries, method_name, deadline=group_deadline)
-                return self._post_hoc_deadlines(members, results)
-            if rung == RUNG_SEQUENTIAL:
-                outcomes: List[Any] = []
-                for member in members:
-                    try:
-                        outcomes.append(
-                            engine.run(member.query, method=method_name, deadline=member.deadline)
-                        )
-                    except (DeadlineExceededError, QueryError) as exc:
-                        outcomes.append(exc)
-                return outcomes
-            # cache-replay: answers hits, sheds misses — no search ever runs.
-            outcomes = []
+            results = engine.run_batch(
+                [member.query for member in members],
+                method_name,
+                deadline=self._group_deadline(members),
+            )
+        return self._post_hoc_deadlines(members, results)
+
+    @staticmethod
+    def _run_each(
+        engine: ITSPQEngine, lock: threading.Lock, method_name: str, members: List[_Member]
+    ) -> List[Any]:
+        """Each member on its own ``engine.run`` under its own deadline; a
+        member's ``QueryError`` or expiry is its outcome, not the batch's."""
+        outcomes: List[Any] = []
+        with lock:
             for member in members:
                 try:
-                    result = engine.answer_from_cache(member.query, method=method_name)
-                except QueryError as exc:
-                    outcomes.append(exc)
-                    continue
-                if result is None:
                     outcomes.append(
-                        ServiceOverloadedError(
-                            "degraded to cache-replay and this query's tree is not cached"
-                        )
+                        engine.run(member.query, method=method_name, deadline=member.deadline)
                     )
-                else:
-                    outcomes.append(result)
-            return outcomes
+                except (DeadlineExceededError, QueryError) as exc:
+                    outcomes.append(exc)
+        return outcomes
 
     @staticmethod
     def _group_deadline(members: List[_Member]) -> Optional[SearchDeadline]:

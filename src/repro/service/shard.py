@@ -1,7 +1,7 @@
 """Sharded multi-process serving: a venue router over N service processes.
 
 One :class:`ITSPQService` process serves many venues well, but it is still
-one process: one GIL, one degradation ladder, one blast radius.  This
+one process: one GIL, one failure domain, one blast radius.  This
 module is the repository's one way to use more than one core — a
 :class:`ShardRouter` that owns a **static venue→shards map**, spawns and
 supervises N worker processes (each an ordinary ``python -m repro.service``
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
-from repro.service.wire import ContentLengthError, read_request
+from repro.service.wire import FramingError, read_request
 
 _REASONS = {
     200: "OK",
@@ -62,7 +62,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    411: "Length Required",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -242,7 +244,7 @@ class RouterMetrics:
             raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
         self.received = 0
         self.routed = 0  # forwarded to a shard and answered by it
-        self.bad_requests = 0  # 400s the router itself produced
+        self.bad_requests = 0  # 400/411/431s the router itself produced
         self.shed = 0  # 429s from the per-shard in-flight budget
         self.shard_unavailable = 0  # 503s while every shard serving the venue is down
         self.proxy_failures = 0  # 502s: connection to the shard broke
@@ -704,14 +706,17 @@ class ShardRouter:
                         keep_alive=False,
                     )
                     return
-                except ContentLengthError as exc:
+                except FramingError as exc:
                     self._metrics.received += 1
                     self._metrics.bad_requests += 1
                     await self._respond_json(
-                        writer, 400, {"error": str(exc), "type": type(exc).__name__}, keep_alive=False
+                        writer,
+                        exc.status,
+                        {"error": str(exc), "type": type(exc).__name__},
+                        keep_alive=False,
                     )
                     return
-                except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
+                except (asyncio.IncompleteReadError, ConnectionError):
                     return
                 if request is None:
                     return  # EOF or idle between requests: close without a reply

@@ -2,7 +2,9 @@
 
 Both front-ends speak the same minimal dialect over raw asyncio streams: a
 request line, headers (only ``Content-Length`` is honoured) and a body, with
-keep-alive connections carrying any number of requests.
+keep-alive connections carrying any number of requests.  A request the
+reader cannot frame safely is refused with a :class:`FramingError` before
+any of its body is read.
 """
 
 from __future__ import annotations
@@ -11,10 +13,31 @@ import asyncio
 from typing import Optional, Tuple
 
 
-class ContentLengthError(ValueError):
+class FramingError(ValueError):
+    """A request refused before its body is read.  The caller answers
+    :attr:`status` and closes the connection: the unread bytes cannot be
+    told apart from a next request."""
+
+    status = 400
+
+
+class ContentLengthError(FramingError):
     """A request's ``Content-Length`` is not an integer, is negative, or is
-    above the body limit.  The caller answers ``400`` and closes the
-    connection without reading the body."""
+    above the body limit (``400``)."""
+
+
+class HeaderTooLargeError(FramingError):
+    """The request line and headers overrun the stream reader's limit
+    (64 KiB by default) before their blank line (``431``)."""
+
+    status = 431
+
+
+class TransferEncodingError(FramingError):
+    """The request sends a ``Transfer-Encoding`` body; only
+    ``Content-Length`` bodies are understood (``411``)."""
+
+    status = 411
 
 
 async def read_request(
@@ -27,10 +50,10 @@ async def read_request(
     answer then, so the caller closes the connection without writing
     anything.  Raises :class:`asyncio.TimeoutError` when a request started
     arriving but was not complete ``timeout`` seconds after its first byte
-    (the caller's 408), :class:`ContentLengthError` for an unacceptable
-    ``Content-Length`` (the caller's 400), and :class:`ConnectionError`,
-    :class:`asyncio.IncompleteReadError` or :class:`asyncio.LimitOverrunError`
-    on a disconnect mid-request or garbage framing.
+    (the caller's 408), a :class:`FramingError` for a request it refuses
+    (the caller answers its ``status``), and :class:`ConnectionError` or
+    :class:`asyncio.IncompleteReadError` on a disconnect mid-request or a
+    malformed request line.
     """
     try:
         first = await asyncio.wait_for(reader.read(1), timeout)
@@ -44,7 +67,10 @@ async def read_request(
 async def _read_started(
     reader: asyncio.StreamReader, first: bytes, max_body_bytes: int
 ) -> Tuple[str, str, bytes]:
-    head = first + await reader.readuntil(b"\r\n\r\n")
+    try:
+        head = first + await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise HeaderTooLargeError("request header block exceeds the reader limit") from None
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) < 3:
@@ -54,7 +80,10 @@ async def _read_started(
     for line in lines[1:]:
         if ":" in line:
             name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "transfer-encoding":
+                raise TransferEncodingError("Transfer-Encoding is not accepted; send Content-Length")
+            if name == "content-length":
                 try:
                     length = int(value.strip())
                 except ValueError:

@@ -2,11 +2,9 @@
 
 The service and the shard router have failure surfaces that random chaos
 cannot anchor an assertion on: clients that stall mid-request, offered load
-past the admission budget, ladder rungs failing in sequence, and shard
-processes dying under load.  The helpers here make each of them
-deterministic and replayable:
+past the admission budget, and shard processes dying under load.  The
+helpers here make each of them deterministic and replayable:
 
-* :class:`FlakyRung` fails one named ladder rung a set number of times;
 * :func:`drip_feed_request` and :func:`flood_requests` are the slow-client
   and queue-overflow faults;
 * :func:`shard_owning`, :func:`sigkill_shard` and :func:`await_router_ready`
@@ -17,36 +15,8 @@ from __future__ import annotations
 
 import os
 import signal
-import threading as _threading
 import time
 from typing import Optional, Tuple
-
-
-class FlakyRung:
-    """A ``rung_fault_hook`` that fails one named ladder rung a set number
-    of times, then heals — the deterministic driver for circuit-breaker
-    open/half-open/re-close tests.
-
-    Thread-safe (the hook runs on the service's worker threads); counts
-    every *offered* batch per rung so tests can assert both the failures
-    and the recovery probe schedule.
-    """
-
-    def __init__(self, rung: str, failures: int, error: type = RuntimeError):
-        self.rung = rung
-        self.failures = int(failures)
-        self.error = error
-        self.offered: dict = {}
-        self._lock = _threading.Lock()
-
-    def __call__(self, rung: str, venue: str) -> None:
-        with self._lock:
-            self.offered[rung] = self.offered.get(rung, 0) + 1
-            if rung == self.rung and self.failures > 0:
-                self.failures -= 1
-                raise self.error(
-                    f"injected rung failure ({rung} on {venue}, {self.failures} left)"
-                )
 
 
 async def drip_feed_request(

@@ -4,14 +4,16 @@ No third-party HTTP stack exists in the test environment (by design — the
 server itself is raw asyncio streams), so the tests speak the same minimal
 HTTP/1.1 dialect back at it.  Every helper opens a fresh connection unless
 handed an existing reader/writer pair, so keep-alive behaviour is exercised
-explicitly where a test cares about it.
+explicitly where a test cares about it.  :func:`wrap_run_batch` is the one
+engine-side helper: it makes a service's batches slow or failing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 async def raw_request(
@@ -53,23 +55,25 @@ async def raw_request(
                 pass
 
 
-async def send_content_length(
-    host: str, port: int, content_length: str
-) -> Tuple[int, bytes, Dict[str, Any]]:
-    """POST ``/query`` headers declaring ``Content-Length: content_length``
-    and send no body; returns ``(status, response head, json_payload)``
-    after checking that the server then closed the connection."""
+async def send_expecting_close(host: str, port: int, data: bytes) -> Tuple[int, bytes, Dict[str, Any]]:
+    """Write ``data`` as is and read one response; returns ``(status,
+    response head, json_payload)`` after checking that the server then
+    closed the connection without writing anything more."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(f"POST /query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n".encode())
-        await writer.drain()
+        # No drain: the server may answer before it has read all of ``data``.
+        writer.write(data)
         head = await reader.readuntil(b"\r\n\r\n")
         length = 0
         for line in head.split(b"\r\n"):
             if line.lower().startswith(b"content-length"):
                 length = int(line.split(b":")[1])
         payload = json.loads(await reader.readexactly(length))
-        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        try:
+            rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+        except ConnectionResetError:
+            rest = b""  # closed with some of ``data`` unread: a reset, not a FIN
+        assert rest == b"", rest[:200]
         return int(head.split(b" ")[1]), head, payload
     finally:
         writer.close()
@@ -77,6 +81,32 @@ async def send_content_length(
             await writer.wait_closed()
         except Exception:
             pass
+
+
+async def send_content_length(
+    host: str, port: int, content_length: str
+) -> Tuple[int, bytes, Dict[str, Any]]:
+    """POST ``/query`` headers declaring ``Content-Length: content_length``
+    and send no body (see :func:`send_expecting_close`)."""
+    return await send_expecting_close(
+        host, port, f"POST /query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n".encode()
+    )
+
+
+#: A POST whose header block (200 KB) overruns the readers' 64 KiB limit.
+OVERSIZED_HEADER_REQUEST = (
+    b"POST /query HTTP/1.1\r\nX-Padding: " + b"a" * 200_000 + b"\r\nContent-Length: 2\r\n\r\n{}"
+)
+
+
+def chunked_then_valid_request(valid_body: bytes) -> bytes:
+    """A chunked POST with a valid ``Content-Length`` request pipelined
+    behind it on the same connection."""
+    return (
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(valid_body), valid_body)
+        + b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(valid_body), valid_body)
+    )
 
 
 async def post_query(host: str, port: int, document: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
@@ -120,7 +150,6 @@ DYNAMIC_KEY_CONTAINERS = frozenset(
         "venues",
         "answered_by_rung",
         "breakers",
-        "selections",
         "shards",
         "routed_by_shard",
         "responses_by_status",
@@ -174,3 +203,24 @@ def assert_matches_oracle(payload: Dict[str, Any], oracle) -> None:
     assert stats["relaxations"] == oracle.statistics.relaxations
     assert stats["heap_pushes"] == oracle.statistics.heap_pushes
     assert stats["heap_pops"] == oracle.statistics.heap_pops
+
+
+def wrap_run_batch(engine, before: Callable[[], None]):
+    """Make ``engine.run_batch`` call ``before()`` first, through an
+    instance attribute that wraps the real method; returns ``engine``.
+
+    ``before`` may sleep (holding the venue's batch slot on its worker
+    thread) or raise (a failing shared search)."""
+    run_batch = engine.run_batch
+
+    def wrapped(*args, **kwargs):
+        before()
+        return run_batch(*args, **kwargs)
+
+    engine.run_batch = wrapped
+    return engine
+
+
+def slow_run_batch(engine, seconds: float):
+    """``engine`` whose every ``run_batch`` sleeps ``seconds`` first."""
+    return wrap_run_batch(engine, lambda: time.sleep(seconds))

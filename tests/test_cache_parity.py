@@ -9,8 +9,8 @@ compiled answer (itself parity-locked to the reference engine by
 standard venues, cold and warm, through the single-query engine seam and
 the batch executor.  Alongside parity: admission (promote vs eager), LRU
 eviction under a small capacity, generation-stamped invalidation, the
-interval-index time bucketing of the planner (satellite: ``query-time``
-groups by ``IntervalBitsets.index_at``) and the opt-in overlay pruning.
+interval-index time bucketing of the planner (``query-time`` groups by
+``IntervalBitsets.index_at``).
 """
 
 import pytest
@@ -290,51 +290,6 @@ class TestEngineOptions:
             CacheConfig(mode="sometimes")
         with pytest.raises(ValueError, match="promote_after"):
             CacheConfig(promote_after=0)
-
-
-class TestOverlayPruning:
-    @pytest.fixture()
-    def clean_overlays(self, example_itgraph):
-        """Drop precompute overlays from the session-scoped example graph
-        afterwards, so no-overlay codec fixtures keep their nine sections."""
-        yield
-        example_itgraph.compiled().overlays = None
-
-    def test_precompute_builds_overlays(self, example_itgraph, clean_overlays):
-        engine = ITSPQEngine(example_itgraph, cache=CacheConfig(precompute=True))
-        graph = engine.ensure_compiled()
-        assert graph.overlays is not None
-        assert len(graph.overlays.component_rows) == graph.interval_bitsets.interval_count + 2
-
-    def test_pruning_answers_match_on_found_and_length(self):
-        # Door d1 is the only link between the rooms; before it ever opens a
-        # pruned answer must agree with the oracle on found/length (the
-        # counters of a pruned answer are approximate by design).
-        itgraph, points = build_two_room_venue({"d1": [("8:00", "9:00")]})
-        oracle = ITSPQEngine(itgraph)
-        engine = ITSPQEngine(
-            itgraph,
-            cache=CacheConfig(mode="eager", precompute=True, prune_unreachable=True),
-        )
-        queries = all_pairs_queries(points, ["7:00", "8:30", "23:00"])
-        pruned_any = False
-        for method in ("static", "query-time"):
-            for query in queries:
-                expected = oracle.run(query, method=method)
-                actual = engine.run(query, method=method)
-                assert actual.found == expected.found
-                assert actual.length == expected.length
-        if engine.cache.pruned:
-            pruned_any = True
-        # query-time before 8:00 crosses no open door: the component row
-        # proves it and at least one query short-circuits.
-        assert pruned_any
-
-    def test_default_config_never_prunes(self, example_itgraph, example_queries, clean_overlays):
-        engine = assert_cached_parity(
-            example_itgraph, example_queries, CacheConfig(mode="eager", precompute=True)
-        )
-        assert engine.cache_stats["pruned"] == 0
 
 
 class TestReferenceAnchoredParity:

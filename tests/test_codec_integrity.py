@@ -17,7 +17,6 @@ import pytest
 
 from repro.exceptions import CorruptPayloadError, SerializationError
 from repro.io.compiled_codec import (
-    OPTIONAL_SECTION_NAME,
     SECTION_NAMES,
     compiled_graph_from_bytes,
     compiled_graph_to_bytes,
@@ -141,83 +140,37 @@ class TestFileLevel:
             load_compiled_graph(tmp_path / "does-not-exist.bin")
 
 
-class TestOptionalPrecomputeSection:
-    """Version 3: the optional ``precompute`` section (interval overlays)."""
+def test_version_2_payloads_still_load(payload, example_itgraph):
+    # Versions 2 and 3 share one layout: only the version word differs.
+    downgraded = bytearray(payload)
+    downgraded[:_HEADER.size] = _HEADER.pack(b"RPROCG", 2)
+    blob = patch_trailing_crc(bytes(downgraded))
+    graph = compiled_graph_from_bytes(blob)
+    assert graph.door_count == example_itgraph.compiled().door_count
 
-    @pytest.fixture(scope="class")
-    def overlay_payload(self, example_itgraph):
-        compiled = example_itgraph.compiled()
-        compiled.build_overlays()
-        try:
-            yield compiled_graph_to_bytes(compiled)
-        finally:
-            compiled.overlays = None  # session-scoped graph: leave it clean
 
-    def test_overlay_payload_grows_one_named_section(self, payload, overlay_payload):
-        names = [name for name, _, _ in payload_section_spans(overlay_payload)]
-        assert names == list(SECTION_NAMES) + [OPTIONAL_SECTION_NAME]
-        assert [name for name, _, _ in payload_section_spans(payload)] == list(SECTION_NAMES)
+def test_declared_but_missing_precompute_is_a_framing_error(payload):
+    # Section count says ten, body carries nine: truncation, by name.
+    offset = _HEADER.size + _U32.size
+    damaged = bytearray(payload)
+    damaged[offset : offset + _U32.size] = _U32.pack(len(SECTION_NAMES) + 1)
+    with pytest.raises(SerializationError, match="sections"):
+        compiled_graph_from_bytes(patch_trailing_crc(bytes(damaged)))
 
-    def test_overlays_roundtrip_byte_stably(self, overlay_payload):
-        rehydrated = compiled_graph_from_bytes(overlay_payload)
-        assert rehydrated.overlays is not None
-        assert compiled_graph_to_bytes(rehydrated) == overlay_payload
 
-    def test_rehydrated_overlays_match(self, example_itgraph, overlay_payload):
-        compiled = example_itgraph.compiled()
-        fresh = compiled.overlays if compiled.overlays is not None else compiled.build_overlays()
-        rehydrated = compiled_graph_from_bytes(overlay_payload).overlays
-        try:
-            assert rehydrated.door_count == fresh.door_count
-            assert rehydrated.interval_count == fresh.interval_count
-            assert rehydrated.landmark_indices == fresh.landmark_indices
-            assert [list(row) for row in rehydrated.component_rows] == [
-                list(row) for row in fresh.component_rows
-            ]
-            for fresh_interval, rehydrated_interval in zip(
-                fresh.landmark_rows, rehydrated.landmark_rows
-            ):
-                for fresh_row, rehydrated_row in zip(fresh_interval, rehydrated_interval):
-                    assert fresh_row.tobytes() == rehydrated_row.tobytes()
-            assert rehydrated.entering_doors == fresh.entering_doors
-        finally:
-            compiled.overlays = None
-
-    def test_corrupted_precompute_section_is_named(self, overlay_payload):
-        spans = {name: (start, end) for name, start, end in payload_section_spans(overlay_payload)}
-        start, end = spans[OPTIONAL_SECTION_NAME]
-        damaged = bytearray(overlay_payload)
-        damaged[(start + end) // 2] ^= 0x20
-        blob = patch_trailing_crc(bytes(damaged))
-        with pytest.raises(CorruptPayloadError, match=OPTIONAL_SECTION_NAME):
-            compiled_graph_from_bytes(blob)
-
-    def test_payload_without_overlays_still_loads(self, payload):
-        graph = compiled_graph_from_bytes(payload)
-        assert graph.overlays is None
-
-    def test_version_2_payloads_still_load(self, payload, example_itgraph):
-        # A v2 payload is a v3 payload without the optional section and with
-        # the version word set to 2 — the exact bytes old checkouts wrote.
-        downgraded = bytearray(payload)
-        downgraded[:_HEADER.size] = _HEADER.pack(b"RPROCG", 2)
-        blob = patch_trailing_crc(bytes(downgraded))
-        graph = compiled_graph_from_bytes(blob)
-        assert graph.door_count == example_itgraph.compiled().door_count
-        assert graph.overlays is None
-
-    def test_version_2_rejects_ten_sections(self, overlay_payload):
-        # The optional section is a v3 feature: a payload claiming v2 with
-        # ten sections is framing-invalid, not quietly accepted.
-        downgraded = bytearray(overlay_payload)
-        downgraded[:_HEADER.size] = _HEADER.pack(b"RPROCG", 2)
-        with pytest.raises(SerializationError, match="sections"):
-            compiled_graph_from_bytes(patch_trailing_crc(bytes(downgraded)))
-
-    def test_declared_but_missing_precompute_is_a_framing_error(self, payload):
-        # Section count says ten, body carries nine: truncation, by name.
-        offset = _HEADER.size + _U32.size
-        damaged = bytearray(payload)
-        damaged[offset : offset + _U32.size] = _U32.pack(len(SECTION_NAMES) + 1)
-        with pytest.raises(SerializationError, match="sections"):
-            compiled_graph_from_bytes(patch_trailing_crc(bytes(damaged)))
+def test_crc_correct_ten_section_payload_is_rejected(payload):
+    # Every checksum of this tenth section holds: the count alone refuses
+    # it, rather than skipping it.
+    extra = b"\x00" * 16
+    count_at = _HEADER.size + _U32.size
+    body = (
+        _U32.pack(len(SECTION_NAMES) + 1)
+        + payload[count_at + _U32.size : -_U32.size]
+        + _U32.pack(len(extra))
+        + _U32.pack(crc32(extra))
+        + extra
+    )
+    framed = payload[: _HEADER.size] + _U32.pack(len(body)) + body
+    blob = framed + _U32.pack(crc32(framed))
+    with pytest.raises(SerializationError, match="carries 10 sections, expected 9"):
+        compiled_graph_from_bytes(blob)

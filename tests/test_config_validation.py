@@ -1,10 +1,9 @@
 """Construction-time validation: every numeric knob rejects bad values with a
 ``ValueError`` that names the offending field.
 
-Covers :class:`CacheConfig`, :class:`ServiceConfig`,
-:class:`AdmissionController` and :class:`CircuitBreaker` — misconfiguration
-must fail at construction, not as a confusing runtime error deep inside a
-search.
+Covers :class:`CacheConfig`, :class:`ServiceConfig` and
+:class:`AdmissionController` — misconfiguration must fail at construction,
+not as a confusing runtime error deep inside a search.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.core.cache import CacheConfig
 from repro.service.admission import AdmissionController
-from repro.service.degradation import CircuitBreaker
 from repro.service.server import ServiceConfig
 
 
@@ -55,10 +53,6 @@ class TestServiceConfig:
             ({"default_deadline_ms": -10.0}, "default_deadline_ms"),
             ({"client_timeout_seconds": 0.0}, "client_timeout_seconds"),
             ({"drain_timeout_seconds": -1.0}, "drain_timeout_seconds"),
-            ({"breaker_failure_threshold": -1}, "breaker_failure_threshold"),
-            ({"breaker_failure_threshold": 0}, "breaker_failure_threshold"),
-            ({"breaker_backoff_base": -0.5}, "breaker_backoff_base"),
-            ({"breaker_backoff_cap": -1.0}, "breaker_backoff_cap"),
             ({"max_body_bytes": 0}, "max_body_bytes"),
         ],
     )
@@ -85,16 +79,3 @@ class TestAdmissionController:
         with pytest.raises(ValueError, match=field):
             AdmissionController(**{**defaults, **kwargs})
 
-
-class TestCircuitBreaker:
-    @pytest.mark.parametrize(
-        "kwargs, field",
-        [
-            ({"failure_threshold": 0}, "failure_threshold"),
-            ({"backoff_base": -1.0}, "backoff_base"),
-            ({"backoff_cap": -1.0}, "backoff_cap"),
-        ],
-    )
-    def test_rejects_bad_numbers_naming_the_field(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
-            CircuitBreaker(**kwargs)

@@ -89,7 +89,7 @@ class TestMetricsDocCoverage:
 
     def test_operations_md_names_every_http_status(self):
         doc_text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
-        for status in (200, 400, 404, 405, 408, 429, 502, 503, 504):
+        for status in (200, 400, 404, 405, 408, 411, 429, 431, 502, 503, 504):
             assert f"| {status} |" in doc_text, f"status {status} missing from the error table"
         for error_type in (
             "ServiceOverloadedError",

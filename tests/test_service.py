@@ -1,5 +1,6 @@
 """The serving layer's happy paths: parity with the engine, micro-batching,
-the HTTP surface (health/readiness/metrics), per-request deadlines and
+batch isolation and the 500 boundary, the HTTP surface
+(health/readiness/metrics, hostile framing), per-request deadlines and
 admission-control shedding.
 
 Every test drives a real :class:`ITSPQService` bound to an ephemeral
@@ -20,12 +21,17 @@ from repro.core.engine import ITSPQEngine
 from repro.service import ITSPQService, ServiceConfig
 
 from tests._service_http import (
+    OVERSIZED_HEADER_REQUEST,
     assert_matches_oracle,
+    chunked_then_valid_request,
     get,
     post_query,
     query_body,
     raw_request,
     send_content_length,
+    send_expecting_close,
+    slow_run_batch,
+    wrap_run_batch,
 )
 
 
@@ -146,7 +152,6 @@ class TestHttpSurface:
             status, payload = await get(service.host, service.port, "/readyz")
             assert status == 200 and payload["status"] == "ready"
             assert payload["venues"] == ["example"]
-            assert "batch" in payload["ladder"]["rungs"]
 
             status, _ = await post_query(service.host, service.port, query_body(p3, p4))
             assert status == 200
@@ -199,6 +204,9 @@ class TestHttpSurface:
             {"source": [26, 5], "target": [9, 10], "time": "9:00", "deadline_ms": -5},
             [1, 2, 3],  # not an object
             {"source": [26, 5, float("inf")], "target": [9, 10], "time": "9:00"},  # floor overflows int
+            {"source": [26, 5], "target": [9, 10], "time": 259260},  # 72:01, past one day
+            {"source": [26, 5], "target": [9, 10], "time": 1e300},
+            {"source": [26, 5], "target": [9, 10], "time": "72:01"},
         ],
     )
     def test_malformed_queries_answer_400(self, example_itgraph, document):
@@ -250,6 +258,96 @@ class TestHttpSurface:
 
         run_service_test(example_service(example_itgraph, max_body_bytes=1024), body)
 
+    def test_oversized_header_block_answers_431_and_closes(self, example_itgraph, example_points):
+        async def body(service):
+            status, head, payload = await send_expecting_close(
+                service.host, service.port, OVERSIZED_HEADER_REQUEST
+            )
+            assert status == 431
+            assert b"connection: close" in head.lower()
+            assert payload["type"] == "HeaderTooLargeError"
+            assert service.metrics.received == service.metrics.bad_requests == 1
+            status, _ = await post_query(
+                service.host, service.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_service_test(example_service(example_itgraph), body)
+
+    def test_transfer_encoding_answers_411_and_closes(self, example_itgraph, example_points):
+        document = json.dumps(query_body(example_points["p3"], example_points["p4"])).encode()
+
+        async def body(service):
+            # The chunk bytes are never read, so the request pipelined behind
+            # them cannot be found: the connection closes after the 411.
+            status, head, payload = await send_expecting_close(
+                service.host, service.port, chunked_then_valid_request(document)
+            )
+            assert status == 411
+            assert b"connection: close" in head.lower()
+            assert payload["type"] == "TransferEncodingError"
+            assert service.metrics.received == service.metrics.bad_requests == 1
+            status, _ = await raw_request(service.host, service.port, "POST", "/query", document)
+            assert status == 200
+
+        run_service_test(example_service(example_itgraph), body)
+
+
+class TestBatchIsolation:
+    def test_malformed_member_is_isolated_from_its_batch(self, example_itgraph, example_points):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+        outside = query_body(p3, p4)
+        outside["source"] = [1e6, 1e6, 0]  # no partition covers it
+
+        async def body(service):
+            (good_status, good), (bad_status, bad) = await asyncio.gather(
+                post_query(service.host, service.port, query_body(p3, p4)),
+                post_query(service.host, service.port, outside),
+            )
+            assert service.metrics.batches == 1  # both rode one micro-batch
+            assert good_status == 200
+            assert good["rung"] == "sequential"
+            assert_matches_oracle(good, oracle)
+            assert bad_status == 400
+            assert bad["type"] == "QueryError"
+            assert service.metrics.answered_by_rung == {"sequential": 1}
+
+        # max_batch=2 flushes the pair as soon as both arrive; the long
+        # window only keeps them together on a slow host.
+        run_service_test(example_service(example_itgraph, batch_window_ms=1000.0, max_batch=2), body)
+
+    def test_unexpected_batch_failure_answers_500_and_service_keeps_serving(
+        self, example_itgraph, example_points
+    ):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+        failures = [RuntimeError("injected kernel fault")]
+
+        def fail_once():
+            if failures:
+                raise failures.pop()
+
+        engine = wrap_run_batch(ITSPQEngine(example_itgraph), fail_once)
+        service = ITSPQService(
+            {"example": engine}, ServiceConfig(batch_window_ms=1000.0, max_batch=2)
+        )
+
+        async def body(service):
+            outcomes = await asyncio.gather(
+                *(post_query(service.host, service.port, query_body(p3, p4)) for _ in range(2))
+            )
+            assert service.metrics.batches == 1
+            for status, payload in outcomes:
+                assert status == 500
+                assert payload["type"] == "RuntimeError"
+            assert service.metrics.internal_errors == 2
+            status, payload = await post_query(service.host, service.port, query_body(p3, p4))
+            assert status == 200 and payload["rung"] == "batch"
+            assert_matches_oracle(payload, oracle)
+
+        run_service_test(service, body)
+
 
 class TestDeadlines:
     def test_tiny_deadline_answers_504(self, example_itgraph, example_points):
@@ -287,12 +385,8 @@ class TestDeadlines:
 class TestAdmissionControl:
     def test_queue_overflow_sheds_429(self, example_itgraph, example_points):
         p3, p4 = example_points["p3"], example_points["p4"]
-        stall = 0.3
-
-        def slow_rung(rung, venue):  # holds the only batch slot on a worker thread
-            time.sleep(stall)
-
-        engine = ITSPQEngine(example_itgraph)
+        # Each batch holds the only batch slot on a worker thread for 0.3 s.
+        engine = slow_run_batch(ITSPQEngine(example_itgraph), 0.3)
         service = ITSPQService(
             {"example": engine},
             ServiceConfig(
@@ -300,7 +394,6 @@ class TestAdmissionControl:
                 max_batch=1,
                 max_pending=2,
                 max_inflight_batches=1,
-                rung_fault_hook=slow_rung,
             ),
         )
 

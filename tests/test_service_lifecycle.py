@@ -8,14 +8,13 @@ does the socket close.  ``aclose`` is idempotent.
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
 from repro.core.engine import ITSPQEngine
 from repro.service import ITSPQService, ServiceConfig
 
-from tests._service_http import assert_matches_oracle, post_query, query_body
+from tests._service_http import assert_matches_oracle, post_query, query_body, slow_run_batch
 
 
 class TestDrain:
@@ -23,14 +22,9 @@ class TestDrain:
         p3, p4 = example_points["p3"], example_points["p4"]
         oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
 
-        def slow_rung(rung, venue):  # the batch is mid-flight when drain starts
-            time.sleep(0.1)
-
-        engine = ITSPQEngine(example_itgraph)
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(batch_window_ms=200.0, rung_fault_hook=slow_rung),
-        )
+        # The batch is mid-flight when drain starts.
+        engine = slow_run_batch(ITSPQEngine(example_itgraph), 0.1)
+        service = ITSPQService({"example": engine}, ServiceConfig(batch_window_ms=200.0))
 
         async def scenario():
             await service.start()

@@ -28,12 +28,15 @@ from repro.service.shard import (
 from repro.testing.faults import await_router_ready, shard_owning, sigkill_shard
 
 from tests._service_http import (
+    OVERSIZED_HEADER_REQUEST,
     assert_matches_oracle,
+    chunked_then_valid_request,
     get,
     post_query,
     query_body,
     raw_request,
     send_content_length,
+    send_expecting_close,
 )
 
 #: (source, target, time, method) cases; methods chosen so both TV-check
@@ -528,3 +531,34 @@ class TestHostileInput:
 
         run_router_test(one_shard_router(payload_files, max_body_bytes=1024), body)
 
+    def test_oversized_header_block_answers_431_and_closes(self, payload_files, example_points):
+        async def body(router):
+            status, head, payload = await send_expecting_close(
+                router.host, router.port, OVERSIZED_HEADER_REQUEST
+            )
+            assert status == 431
+            assert b"connection: close" in head.lower()
+            assert payload["type"] == "HeaderTooLargeError"
+            assert router.metrics.received == router.metrics.bad_requests == 1
+            status, _ = await post_query(
+                router.host, router.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_router_test(one_shard_router(payload_files), body)
+
+    def test_transfer_encoding_answers_411_and_closes(self, payload_files, example_points):
+        document = json.dumps(query_body(example_points["p3"], example_points["p4"])).encode()
+
+        async def body(router):
+            status, head, payload = await send_expecting_close(
+                router.host, router.port, chunked_then_valid_request(document)
+            )
+            assert status == 411
+            assert b"connection: close" in head.lower()
+            assert payload["type"] == "TransferEncodingError"
+            assert router.metrics.received == router.metrics.bad_requests == 1
+            status, _ = await raw_request(router.host, router.port, "POST", "/query", document)
+            assert status == 200
+
+        run_router_test(one_shard_router(payload_files), body)
