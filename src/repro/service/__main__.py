@@ -25,7 +25,7 @@ Topology selection:
   process proxies ``POST /query`` by venue to the live replica with the
   fewest requests in flight, aggregates ``/healthz`` ``/readyz``
   ``/metrics``, and respawns dead shards with bounded backoff.  Engine
-  flags (``--cache``, ``--window-ms``, ...) are forwarded to every worker.
+  flags (``--cache``, ``--max-batch``, ...) are forwarded to every worker.
   This is the one way to use more than one core.
 
 Either way the process prints exactly one ``listening on HOST:PORT`` line
@@ -130,11 +130,14 @@ def build_engine(spec: str, cache: str) -> ITSPQEngine:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as ``--max-inflight`` must be a
+    # usage error, not a silent spelling of ``--max-inflight-per-shard``.
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Serve ITSPQ queries over localhost HTTP with deadlines, "
         "admission control and batch isolation — one process per venue set, "
         "or a sharded router over N worker processes (--shards).",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--venue",
@@ -160,10 +163,13 @@ def make_parser() -> argparse.ArgumentParser:
         default="promote",
         help="SP-tree cache mode",
     )
-    parser.add_argument("--window-ms", type=float, default=5.0, help="micro-batch window")
-    parser.add_argument("--max-batch", type=int, default=16)
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=16,
+        help="most queued queries of one venue that leave together in one micro-batch",
+    )
     parser.add_argument("--max-pending", type=int, default=64)
-    parser.add_argument("--max-inflight", type=int, default=4)
     parser.add_argument(
         "--deadline-ms", type=float, default=None, help="default per-request budget"
     )
@@ -204,10 +210,8 @@ def forwarded_worker_args(args: argparse.Namespace) -> Tuple[str, ...]:
     """Engine/service flags every shard worker inherits from the router CLI."""
     forwarded = [
         "--cache", args.cache,
-        "--window-ms", str(args.window_ms),
         "--max-batch", str(args.max_batch),
         "--max-pending", str(args.max_pending),
-        "--max-inflight", str(args.max_inflight),
     ]
     if args.deadline_ms is not None:
         forwarded.extend(("--deadline-ms", str(args.deadline_ms)))
@@ -237,10 +241,8 @@ async def amain(args: argparse.Namespace) -> None:
         config = ServiceConfig(
             host=args.host,
             port=args.port,
-            batch_window_ms=args.window_ms,
             max_batch=args.max_batch,
             max_pending=args.max_pending,
-            max_inflight_batches=args.max_inflight,
             default_deadline_ms=args.deadline_ms,
         )
         front = ITSPQService(engines, config)

@@ -1,54 +1,38 @@
-"""Admission control: bounded pending work and bounded batch concurrency.
+"""Admission control: bounded pending work.
 
-Backpressure in this service is two-level, matching its two queues:
-
-* **Per-request admission.**  Every request entering the service holds one
-  *pending* slot from arrival until its response is written.  The budget is
-  a plain counter (all mutation happens on the event-loop thread), and a
-  full budget sheds the request immediately with
-  :class:`~repro.exceptions.ServiceOverloadedError` — the typed 429.
-  Shedding at the door is the whole point: a request the service cannot
-  serve within its deadline is cheapest to refuse before any search runs.
-* **Batch concurrency.**  Flushed micro-batches execute on worker threads
-  (the engines are synchronous); an :class:`asyncio.Semaphore` caps how
-  many are in flight at once so a burst cannot fan out into unbounded
-  threads, and queued batches simply wait for a slot — their members'
-  deadlines keep ticking, which is exactly the behaviour an overloaded
-  service should exhibit (latency first, then 504s, then 429s).
+Every request entering the service holds one *pending* slot from arrival
+until its response is written.  The budget is a plain counter (all mutation
+happens on the event-loop thread), and a full budget sheds the request
+immediately with :class:`~repro.exceptions.ServiceOverloadedError` — the
+typed 429.  Shedding at the door is the whole point: a request the service
+cannot serve within its deadline is cheapest to refuse before any search
+runs.  Admitted requests wait in their venue's queue, which runs one
+micro-batch at a time, so the pending budget also bounds every queue; their
+deadlines keep ticking while they wait, which is exactly the behaviour an
+overloaded service should exhibit (latency first, then 504s, then 429s).
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict
 
 from repro.exceptions import ServiceOverloadedError
 
 
 class AdmissionController:
-    """Bounded admission: ``max_pending`` requests in the building at once,
-    ``max_inflight_batches`` micro-batches executing at once.
+    """Bounded admission: ``max_pending`` requests in the building at once.
 
     Single event-loop use only (counters are not thread-safe by design —
     the server mutates them exclusively from loop callbacks).
     """
 
-    def __init__(self, max_pending: int, max_inflight_batches: int):
+    def __init__(self, max_pending: int):
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
-        if max_inflight_batches < 1:
-            raise ValueError(
-                f"max_inflight_batches must be positive, got {max_inflight_batches}"
-            )
         self.max_pending = int(max_pending)
-        self.max_inflight_batches = int(max_inflight_batches)
         self._pending = 0
-        self._inflight_batches = 0
         self.admitted = 0
         self.shed = 0
-        self._batch_slots = asyncio.Semaphore(self.max_inflight_batches)
-
-    # -- per-request admission --------------------------------------------------
 
     def admit(self) -> None:
         """Take one pending slot or shed the request (the typed 429)."""
@@ -70,31 +54,11 @@ class AdmissionController:
         """Requests currently holding a pending slot."""
         return self._pending
 
-    # -- batch concurrency ------------------------------------------------------
-
-    async def __aenter__(self) -> "AdmissionController":
-        await self._batch_slots.acquire()
-        self._inflight_batches += 1
-        return self
-
-    async def __aexit__(self, exc_type, exc_value, traceback) -> None:
-        self._inflight_batches -= 1
-        self._batch_slots.release()
-
-    @property
-    def inflight_batches(self) -> int:
-        """Micro-batches currently executing."""
-        return self._inflight_batches
-
-    # -- observability ----------------------------------------------------------
-
     def snapshot(self) -> Dict[str, int]:
         """Counter snapshot for ``/metrics`` and ``/readyz``."""
         return {
             "pending": self._pending,
             "max_pending": self.max_pending,
-            "inflight_batches": self._inflight_batches,
-            "max_inflight_batches": self.max_inflight_batches,
             "admitted": self.admitted,
             "shed": self.shed,
         }

@@ -4,10 +4,10 @@ Deliberately dependency-free: a bounded reservoir of recent request
 latencies (newest-wins ring buffer, so percentiles reflect the current
 regime rather than the whole process lifetime) plus plain counters keyed by
 outcome and by rung (the shared ``batch`` search or the ``sequential``
-re-run that isolates a malformed member).  The load-generator benchmark reads the
-same snapshot shape it writes to ``BENCH_service.json``, so the service's
-self-reported numbers and the bench's externally-measured ones line up
-field for field.
+re-run that isolates a malformed member).  The knee sweep
+(``benchmarks/bench_service_knee.py``) reads ``answered`` and ``batches``
+from this snapshot for the mean batch size it writes to
+``BENCH_service.json``.
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ dependency-free, like the rest of the repository:
 
 Request path
 ------------
-Admitted queries are buffered per ``(venue, method)`` for at most
-``batch_window_ms`` (or until ``max_batch`` members arrive), then flushed as
-one micro-batch through ``engine.run_batch``.  When that shared search
+Each venue has one FIFO queue and runs at most one micro-batch at a time.
+A query for an idle venue is dispatched on the next loop tick; queries that
+arrive while the venue executes wait, then leave together when it finishes
+(up to ``max_batch`` of them, split by method into ``engine.run_batch``
+calls).  Under light load a query therefore never waits for company, and
+under heavy load batches grow by themselves.  When a shared search
 raises :class:`~repro.exceptions.QueryError` — one malformed member poisons
 the group — every member is re-run on its own with ``engine.run``, so the
 others still answer and only the culprit gets its typed 400; the answers
@@ -35,19 +38,21 @@ shared state — the SP-tree cache's LRU and counters — is **not**
 thread-safe, so every execution runs on a worker thread under a per-venue
 lock; concurrency comes from batching, not from racing searches.
 
-Deadlines compose with batching conservatively: a micro-batch's shared
-budget is the *largest* remaining member budget (no budget at all if any
-member is unbounded), so the shared search is never cut short while some
-member could still be served; members whose own budget expired by
-completion are answered 504 individually — the "never partial, never
+Deadlines compose with batching conservatively: time spent in the queue
+counts against each member's budget, and a micro-batch's shared budget,
+computed at dispatch, is the *largest* remaining member budget (no budget
+at all if any member is unbounded), so the shared search is never cut short
+while some member could still be served; members whose own budget expired
+by completion are answered 504 individually — the "never partial, never
 stale" contract per request.
 
 Lifecycle
 ---------
 :meth:`ITSPQService.start` compiles every venue off-loop and binds the
-socket; :meth:`ITSPQService.aclose` drains — stop admitting, flush every
-buffer, let in-flight batches and handlers finish — then closes the socket
-(``aclose`` is idempotent).
+socket; :meth:`ITSPQService.aclose` drains — stop admitting, hang up
+keep-alive connections idle between requests, run every queue empty, let
+in-flight handlers finish — then closes the socket (``aclose`` is
+idempotent).
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from repro.exceptions import (
 from repro.geometry.point import IndoorPoint
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
-from repro.service.wire import FramingError, read_request
+from repro.service.wire import FramingError, KeepAliveConnections
 
 _REASONS = {
     200: "OK",
@@ -105,13 +110,11 @@ class ServiceConfig:
     host / port:
         Bind address; ``port=0`` picks a free port (read it back from
         ``service.port`` after :meth:`ITSPQService.start`).
-    batch_window_ms:
-        How long the first query of a micro-batch waits for company before
-        the batch flushes (``0`` flushes on the next loop tick).
     max_batch:
-        Flush immediately once a buffer holds this many queries.
-    max_pending / max_inflight_batches:
-        The admission budgets (see :class:`~repro.service.admission.AdmissionController`).
+        The most queued queries of one venue that leave together when the
+        venue's executing batch finishes.
+    max_pending:
+        The admission budget (see :class:`~repro.service.admission.AdmissionController`).
     default_deadline_ms:
         Budget applied to requests that do not send ``deadline_ms``;
         ``None`` leaves them unbounded.
@@ -130,26 +133,18 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_ms: float = 5.0
     max_batch: int = 16
     max_pending: int = 64
-    max_inflight_batches: int = 4
     default_deadline_ms: Optional[float] = None
     client_timeout_seconds: float = 5.0
     drain_timeout_seconds: float = 10.0
     max_body_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be non-negative, got {self.batch_window_ms}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {self.max_pending}")
-        if self.max_inflight_batches < 1:
-            raise ValueError(
-                f"max_inflight_batches must be positive, got {self.max_inflight_batches}"
-            )
         if self.default_deadline_ms is not None and not self.default_deadline_ms > 0:
             raise ValueError(
                 f"default_deadline_ms must be positive or None, got {self.default_deadline_ms}"
@@ -167,15 +162,21 @@ class ServiceConfig:
 
 
 class _Member:
-    """One admitted query waiting in (or flushed from) a micro-batch."""
+    """One admitted query waiting in its venue's queue (or executing)."""
 
-    __slots__ = ("query", "deadline", "future", "admitted_at")
+    __slots__ = ("method_name", "query", "deadline", "future")
 
-    def __init__(self, query: ITSPQuery, deadline: Optional[SearchDeadline], future: asyncio.Future):
+    def __init__(
+        self,
+        method_name: str,
+        query: ITSPQuery,
+        deadline: Optional[SearchDeadline],
+        future: asyncio.Future,
+    ):
+        self.method_name = method_name
         self.query = query
         self.deadline = deadline
         self.future = future
-        self.admitted_at = time.perf_counter()
 
 
 class ITSPQService:
@@ -190,13 +191,13 @@ class ITSPQService:
         # thread-safe, so every execution of a venue is serialised across
         # worker threads.
         self._locks: Dict[str, threading.Lock] = {name: threading.Lock() for name in self._engines}
-        self._admission = AdmissionController(
-            self._config.max_pending, self._config.max_inflight_batches
-        )
+        self._admission = AdmissionController(self._config.max_pending)
         self._metrics = ServiceMetrics()
-        self._buffers: Dict[Tuple[str, str], List[_Member]] = {}
-        self._flush_handles: Dict[Tuple[str, str], asyncio.TimerHandle] = {}
-        self._batch_tasks: "set[asyncio.Task]" = set()
+        # Per venue: the queries waiting for it, and the task running its
+        # queue while it is busy (absent while the venue is idle).
+        self._queues: Dict[str, List[_Member]] = {name: [] for name in self._engines}
+        self._runners: Dict[str, asyncio.Task] = {}
+        self._connections = KeepAliveConnections()
         self._server: Optional[asyncio.base_events.Server] = None
         self._started = False
         self._draining = False
@@ -271,15 +272,15 @@ class ITSPQService:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Drain, then close: stop admitting, flush every buffer, wait for
-        in-flight batches and handlers, close the socket.  Idempotent."""
+        """Drain, then close: stop admitting, hang up idle keep-alive
+        connections, run every venue's queue empty, wait for in-flight
+        handlers, close the socket.  Idempotent."""
         if self._closed:
             return
         self._draining = True
-        for key in list(self._buffers):
-            self._flush(key)
-        while self._batch_tasks:
-            await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
+        self._connections.close_idle()
+        while self._runners:
+            await asyncio.gather(*list(self._runners.values()), return_exceptions=True)
         deadline = time.monotonic() + self._config.drain_timeout_seconds
         while self._active_handlers > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
@@ -299,8 +300,9 @@ class ITSPQService:
         try:
             while True:
                 try:
-                    request = await read_request(
+                    request = await self._connections.read_request(
                         reader,
+                        writer,
                         self._config.max_body_bytes,
                         self._config.client_timeout_seconds,
                     )
@@ -327,7 +329,7 @@ class ITSPQService:
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return  # disconnect or garbage framing: nothing to answer
                 if request is None:
-                    return  # EOF or idle between requests: close without a reply
+                    return  # EOF, idle between requests, or draining: no reply
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:
@@ -508,57 +510,52 @@ class ITSPQService:
         deadline: Optional[SearchDeadline],
     ) -> Tuple[QueryResult, str]:
         loop = asyncio.get_running_loop()
-        member = _Member(query, deadline, loop.create_future())
-        key = (venue, method_name)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = self._buffers[key] = []
-            self._flush_handles[key] = loop.call_later(
-                self._config.batch_window_ms / 1000.0, self._flush, key
-            )
-        buffer.append(member)
-        if len(buffer) >= self._config.max_batch:
-            self._flush(key)
+        member = _Member(method_name, query, deadline, loop.create_future())
+        self._queues[venue].append(member)
+        if venue not in self._runners:
+            self._runners[venue] = loop.create_task(self._run_queue(venue))
         return await member.future
 
-    def _flush(self, key: Tuple[str, str]) -> None:
-        members = self._buffers.pop(key, None)
-        handle = self._flush_handles.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-        if not members:
-            return
-        self._metrics.batches += 1
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(key[0], key[1], members)
-        )
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+    async def _run_queue(self, venue: str) -> None:
+        """Run ``venue``'s queue until it is empty: up to ``max_batch``
+        queued members at a time, one ``run_batch`` per method among them."""
+        queue = self._queues[venue]
+        try:
+            while queue:
+                members = queue[: self._config.max_batch]
+                del queue[: self._config.max_batch]
+                by_method: Dict[str, List[_Member]] = {}
+                for member in members:
+                    by_method.setdefault(member.method_name, []).append(member)
+                for method_name, group in by_method.items():
+                    self._metrics.batches += 1
+                    await self._run_batch(venue, method_name, group)
+        finally:
+            del self._runners[venue]
 
     # -- batch execution -------------------------------------------------------
 
     async def _run_batch(self, venue: str, method_name: str, members: List[_Member]) -> None:
-        """Run one flushed micro-batch and resolve its members' futures."""
+        """Run one micro-batch and resolve its members' futures."""
         engine = self._engines[venue]
         lock = self._locks[venue]
         rung = RUNG_BATCH
-        async with self._admission:
+        try:
             try:
-                try:
-                    outcomes = await asyncio.to_thread(
-                        self._run_shared, engine, lock, method_name, members
-                    )
-                except QueryError:
-                    # A malformed member poisons the shared group search:
-                    # re-run the members one by one so the others still answer.
-                    rung = RUNG_SEQUENTIAL
-                    outcomes = await asyncio.to_thread(
-                        self._run_each, engine, lock, method_name, members
-                    )
-            except Exception as exc:  # noqa: BLE001 - the typed 500 boundary
-                # Also an expired shared budget (the *largest* member
-                # budget): every member is expired then, and answers 504.
-                outcomes = [exc] * len(members)
+                outcomes = await asyncio.to_thread(
+                    self._run_shared, engine, lock, method_name, members
+                )
+            except QueryError:
+                # A malformed member poisons the shared group search:
+                # re-run the members one by one so the others still answer.
+                rung = RUNG_SEQUENTIAL
+                outcomes = await asyncio.to_thread(
+                    self._run_each, engine, lock, method_name, members
+                )
+        except Exception as exc:  # noqa: BLE001 - the typed 500 boundary
+            # Also an expired shared budget (the *largest* member budget):
+            # every member is expired then, and answers 504.
+            outcomes = [exc] * len(members)
         answered = sum(1 for outcome in outcomes if isinstance(outcome, QueryResult))
         if answered:
             self._metrics.observe_rung(rung, answered)

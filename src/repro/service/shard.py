@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
-from repro.service.wire import FramingError, read_request
+from repro.service.wire import FramingError, KeepAliveConnections
 
 _REASONS = {
     200: "OK",
@@ -172,7 +172,7 @@ class ShardRouterConfig:
     worker_args:
         Extra command-line arguments appended to every worker's
         ``python -m repro.service`` invocation (``--cache``,
-        ``--window-ms``, ...), so shard tuning is the single-process tuning.
+        ``--max-batch``, ...), so shard tuning is the single-process tuning.
     max_body_bytes:
         Client request bodies above this answer ``400`` (as does a negative
         or non-integer ``Content-Length``), without the body being read.
@@ -351,6 +351,7 @@ class ShardRouter:
                     )
                 self._replicas.setdefault(venue, []).append(self._handles[spec.name])
         self._metrics = RouterMetrics()
+        self._connections = KeepAliveConnections()
         self._server: Optional[asyncio.base_events.Server] = None
         self._started = False
         self._draining = False
@@ -419,12 +420,14 @@ class ShardRouter:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Drain, then close: stop admitting, wait for in-flight proxies,
-        SIGINT every worker and wait for its graceful drain, close the
-        socket and the pools.  Idempotent."""
+        """Drain, then close: stop admitting, hang up idle client
+        connections, wait for in-flight proxies, close the pools, SIGINT
+        every worker and wait for its graceful drain, close the socket.
+        Idempotent."""
         if self._closed:
             return
         self._draining = True
+        self._connections.close_idle()
         deadline = time.monotonic() + self._config.drain_timeout_seconds
         while self._active_handlers > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
@@ -437,6 +440,10 @@ class ShardRouter:
                     await handle.supervisor
                 except (asyncio.CancelledError, Exception):
                     pass
+        # Close the pools before the SIGINT, so that no worker's drain
+        # finds a pooled connection of this router still open.
+        for handle in self._handles.values():
+            self._discard_idle(handle)
         await self._stop_workers()
         if self._server is not None:
             self._server.close()
@@ -445,8 +452,6 @@ class ShardRouter:
             except Exception:
                 pass
             self._server = None
-        for handle in self._handles.values():
-            self._discard_idle(handle)
         self._closed = True
 
     async def _stop_workers(self) -> None:
@@ -691,8 +696,9 @@ class ShardRouter:
         try:
             while True:
                 try:
-                    request = await read_request(
+                    request = await self._connections.read_request(
                         reader,
+                        writer,
                         self._config.max_body_bytes,
                         self._config.client_timeout_seconds,
                     )
@@ -719,7 +725,7 @@ class ShardRouter:
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
                 if request is None:
-                    return  # EOF or idle between requests: close without a reply
+                    return  # EOF, idle between requests, or draining: no reply
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:

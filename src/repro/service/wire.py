@@ -4,13 +4,15 @@ Both front-ends speak the same minimal dialect over raw asyncio streams: a
 request line, headers (only ``Content-Length`` is honoured) and a body, with
 keep-alive connections carrying any number of requests.  A request the
 reader cannot frame safely is refused with a :class:`FramingError` before
-any of its body is read.
+any of its body is read.  Each front-end reads through one
+:class:`KeepAliveConnections`, which lets its drain hang up the connections
+that sit idle between requests instead of waiting out their timeout.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 
 class FramingError(ValueError):
@@ -40,28 +42,62 @@ class TransferEncodingError(FramingError):
     status = 411
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body_bytes: int, timeout: float
-) -> Optional[Tuple[str, str, bytes]]:
-    """Read one request as ``(method, path, body)``.
+class KeepAliveConnections:
+    """The client connections of one front-end.
 
-    Returns ``None`` when the client closed the connection, or left it idle
-    for ``timeout`` seconds between requests: no request is waiting for an
-    answer then, so the caller closes the connection without writing
-    anything.  Raises :class:`asyncio.TimeoutError` when a request started
-    arriving but was not complete ``timeout`` seconds after its first byte
-    (the caller's 408), a :class:`FramingError` for a request it refuses
-    (the caller answers its ``status``), and :class:`ConnectionError` or
-    :class:`asyncio.IncompleteReadError` on a disconnect mid-request or a
-    malformed request line.
+    A connection waiting for the first byte of its next request is *idle*.
+    :meth:`close_idle` (the drain) hangs up every idle connection without a
+    reply, so the client reads EOF; a request whose first byte has been
+    read is still read to its end and answered, and its connection closes
+    after that answer.  A request that reaches an idle connection in the
+    loop iteration that hangs it up is lost with it: the keep-alive race
+    every HTTP/1.1 client already handles for a server closing an idle
+    connection.
     """
-    try:
-        first = await asyncio.wait_for(reader.read(1), timeout)
-    except asyncio.TimeoutError:
-        return None
-    if not first:
-        return None
-    return await asyncio.wait_for(_read_started(reader, first, max_body_bytes), timeout)
+
+    def __init__(self) -> None:
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
+
+    async def read_request(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        max_body_bytes: int,
+        timeout: float,
+    ) -> Optional[Tuple[str, str, bytes]]:
+        """Read one request as ``(method, path, body)``.
+
+        Returns ``None`` when the client closed the connection, left it
+        idle for ``timeout`` seconds between requests, or the front-end is
+        draining: no request is waiting for an answer then, so the caller
+        closes the connection without writing anything.  Raises
+        :class:`asyncio.TimeoutError` when a request started arriving but
+        was not complete ``timeout`` seconds after its first byte (the
+        caller's 408), a :class:`FramingError` for a request it refuses
+        (the caller answers its ``status``), and :class:`ConnectionError`
+        or :class:`asyncio.IncompleteReadError` on a disconnect mid-request
+        or a malformed request line.
+        """
+        if self._closing:
+            return None
+        self._idle.add(writer)
+        try:
+            first = await asyncio.wait_for(reader.read(1), timeout)
+        except asyncio.TimeoutError:
+            return None
+        finally:
+            self._idle.discard(writer)
+        if not first:
+            return None
+        return await asyncio.wait_for(_read_started(reader, first, max_body_bytes), timeout)
+
+    def close_idle(self) -> None:
+        """Start the drain: hang up every idle connection, and read no
+        further request on any connection."""
+        self._closing = True
+        for writer in self._idle:
+            writer.close()
 
 
 async def _read_started(

@@ -4,16 +4,18 @@ No third-party HTTP stack exists in the test environment (by design — the
 server itself is raw asyncio streams), so the tests speak the same minimal
 HTTP/1.1 dialect back at it.  Every helper opens a fresh connection unless
 handed an existing reader/writer pair, so keep-alive behaviour is exercised
-explicitly where a test cares about it.  :func:`wrap_run_batch` is the one
-engine-side helper: it makes a service's batches slow or failing.
+explicitly where a test cares about it.  The engine-side helpers
+(:func:`wrap_run_batch`, :func:`slow_run_batch`, :class:`BatchGate`) make a
+service's batches slow, held, recorded or failing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 async def raw_request(
@@ -205,17 +207,18 @@ def assert_matches_oracle(payload: Dict[str, Any], oracle) -> None:
     assert stats["heap_pops"] == oracle.statistics.heap_pops
 
 
-def wrap_run_batch(engine, before: Callable[[], None]):
-    """Make ``engine.run_batch`` call ``before()`` first, through an
-    instance attribute that wraps the real method; returns ``engine``.
+def wrap_run_batch(engine, before: Callable[[list, str], None]):
+    """Make ``engine.run_batch`` call ``before(queries, method)`` first,
+    through an instance attribute that wraps the real method; returns
+    ``engine``.
 
-    ``before`` may sleep (holding the venue's batch slot on its worker
-    thread) or raise (a failing shared search)."""
+    ``before`` may sleep or block (holding the venue on its worker thread),
+    record the call, or raise (a failing shared search)."""
     run_batch = engine.run_batch
 
-    def wrapped(*args, **kwargs):
-        before()
-        return run_batch(*args, **kwargs)
+    def wrapped(queries, method, *args, **kwargs):
+        before(queries, method)
+        return run_batch(queries, method, *args, **kwargs)
 
     engine.run_batch = wrapped
     return engine
@@ -223,4 +226,54 @@ def wrap_run_batch(engine, before: Callable[[], None]):
 
 def slow_run_batch(engine, seconds: float):
     """``engine`` whose every ``run_batch`` sleeps ``seconds`` first."""
-    return wrap_run_batch(engine, lambda: time.sleep(seconds))
+    return wrap_run_batch(engine, lambda _queries, _method: time.sleep(seconds))
+
+
+class BatchGate:
+    """Records every ``run_batch`` call of ``engine`` as ``(method, size)``
+    and holds the first one on its worker thread until :meth:`open` (at
+    most 10 s, so that a test failing before it opens still drains).
+
+    While the first call is held its venue is busy, so queries sent then
+    wait in the venue's queue: a test sends them, waits until the service
+    has admitted them, and opens the gate."""
+
+    def __init__(self, engine):
+        self.calls: List[Tuple[str, int]] = []
+        self._open = threading.Event()
+        wrap_run_batch(engine, self._before)
+
+    def _before(self, queries, method: str) -> None:
+        self.calls.append((method, len(queries)))
+        if len(self.calls) == 1:
+            self._open.wait(10.0)
+
+    def open(self) -> None:
+        self._open.set()
+
+    @property
+    def sizes(self) -> List[int]:
+        return [size for _method, size in self.calls]
+
+
+async def eventually(predicate: Callable[[], Any], timeout: float = 10.0) -> None:
+    """Poll ``predicate`` from the event loop until it holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
+async def queue_behind_gate(service, gate: BatchGate, first_document, documents) -> list:
+    """Send ``first_document`` to ``service`` and wait until ``gate`` holds
+    its batch, then send ``documents`` and wait until they are all queued;
+    returns the futures of every answer (the first one first).  The caller
+    opens the gate."""
+    first = asyncio.ensure_future(post_query(service.host, service.port, first_document))
+    await eventually(lambda: gate.calls)
+    queued = [
+        asyncio.ensure_future(post_query(service.host, service.port, document))
+        for document in documents
+    ]
+    await eventually(lambda: service.admission.pending == 1 + len(documents))
+    return [first, *queued]

@@ -1,9 +1,10 @@
 """Construction-time validation: every numeric knob rejects bad values with a
 ``ValueError`` that names the offending field.
 
-Covers :class:`CacheConfig`, :class:`ServiceConfig` and
-:class:`AdmissionController` — misconfiguration must fail at construction,
-not as a confusing runtime error deep inside a search.
+Covers :class:`CacheConfig`, :class:`ServiceConfig`,
+:class:`AdmissionController` and the ``python -m repro.service`` command
+line — misconfiguration must fail at construction, not as a confusing
+runtime error deep inside a search.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cache import CacheConfig
+from repro.service.__main__ import make_parser
 from repro.service.admission import AdmissionController
 from repro.service.server import ServiceConfig
 
@@ -44,16 +46,16 @@ class TestCacheConfig:
 class TestServiceConfig:
     @pytest.mark.parametrize(
         "kwargs, field",
+        # A case's position is part of its test ID (``kwargsN``): append
+        # new cases rather than reorder.
         [
-            ({"batch_window_ms": -1.0}, "batch_window_ms"),
+            ({"max_body_bytes": 0}, "max_body_bytes"),
             ({"max_batch": 0}, "max_batch"),
             ({"max_pending": 0}, "max_pending"),
-            ({"max_inflight_batches": 0}, "max_inflight_batches"),
+            ({"drain_timeout_seconds": -1.0}, "drain_timeout_seconds"),
             ({"default_deadline_ms": 0.0}, "default_deadline_ms"),
             ({"default_deadline_ms": -10.0}, "default_deadline_ms"),
             ({"client_timeout_seconds": 0.0}, "client_timeout_seconds"),
-            ({"drain_timeout_seconds": -1.0}, "drain_timeout_seconds"),
-            ({"max_body_bytes": 0}, "max_body_bytes"),
         ],
     )
     def test_rejects_bad_numbers_naming_the_field(self, kwargs, field):
@@ -71,11 +73,16 @@ class TestAdmissionController:
         [
             ({"max_pending": 0}, "max_pending"),
             ({"max_pending": -1}, "max_pending"),
-            ({"max_inflight_batches": 0}, "max_inflight_batches"),
         ],
     )
     def test_rejects_bad_numbers_naming_the_field(self, kwargs, field):
-        defaults = {"max_pending": 8, "max_inflight_batches": 2}
         with pytest.raises(ValueError, match=field):
-            AdmissionController(**{**defaults, **kwargs})
+            AdmissionController(**kwargs)
 
+
+class TestServiceCommandLine:
+    def test_abbreviated_flag_is_a_usage_error(self):
+        # A prefix of --max-inflight-per-shard, not a spelling of it.
+        with pytest.raises(SystemExit) as stopped:
+            make_parser().parse_args(["--max-inflight", "4"])
+        assert stopped.value.code == 2

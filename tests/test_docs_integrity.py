@@ -61,9 +61,7 @@ class TestMetricsDocCoverage:
 
         async def scenario():
             engine = ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager"))
-            service = ITSPQService(
-                {"example": engine}, ServiceConfig(port=0, batch_window_ms=1)
-            )
+            service = ITSPQService({"example": engine}, ServiceConfig(port=0))
             await service.start()
             try:
                 # One answered query populates last_execution_report and the

@@ -1,5 +1,6 @@
-"""The serving layer's happy paths: parity with the engine, micro-batching,
-batch isolation and the 500 boundary, the HTTP surface
+"""The serving layer's happy paths: parity with the engine, per-venue
+queues and micro-batching, batch isolation and the 500 boundary, the HTTP
+surface
 (health/readiness/metrics, hostile framing), per-request deadlines and
 admission-control shedding.
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 import pytest
 
@@ -22,11 +22,14 @@ from repro.service import ITSPQService, ServiceConfig
 
 from tests._service_http import (
     OVERSIZED_HEADER_REQUEST,
+    BatchGate,
     assert_matches_oracle,
     chunked_then_valid_request,
+    eventually,
     get,
     post_query,
     query_body,
+    queue_behind_gate,
     raw_request,
     send_content_length,
     send_expecting_close,
@@ -49,9 +52,16 @@ def run_service_test(service: ITSPQService, test_coro_factory) -> None:
 
 
 def example_service(example_itgraph, **config_kwargs) -> ITSPQService:
-    config_kwargs.setdefault("batch_window_ms", 1.0)
     engine = ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager"))
     return ITSPQService({"example": engine}, ServiceConfig(**config_kwargs))
+
+
+def gated_example_service(example_itgraph, **config_kwargs):
+    """A service on the example venue whose first batch is held by a
+    :class:`BatchGate` (returned alongside)."""
+    engine = ITSPQEngine(example_itgraph)
+    gate = BatchGate(engine)
+    return ITSPQService({"example": engine}, ServiceConfig(**config_kwargs)), gate
 
 
 class TestQueryParity:
@@ -103,42 +113,113 @@ class TestQueryParity:
 class TestMicroBatching:
     def test_concurrent_queries_share_batches(self, example_itgraph, example_points):
         points = list(example_points.values())
-        bodies = [
-            query_body(source, target)
-            for source in points
-            for target in points
-            if source is not target
-        ]
+        pairs = [(source, target) for source in points for target in points if source is not target]
+        bodies = [query_body(source, target) for source, target in pairs]
+        oracle_engine = ITSPQEngine(example_itgraph)
+        oracles = [oracle_engine.query(source, target, "9:00") for source, target in pairs]
+        service, gate = gated_example_service(example_itgraph)
 
         async def body(service):
-            outcomes = await asyncio.gather(
-                *(post_query(service.host, service.port, document) for document in bodies)
-            )
-            assert all(status == 200 for status, _ in outcomes)
-            # 12 concurrent same-(venue, method) queries coalesced into
-            # fewer flushes than requests — the whole point of the window.
-            assert 1 <= service.metrics.batches < len(bodies)
+            pending = await queue_behind_gate(service, gate, bodies[0], bodies[1:])
+            gate.open()
+            outcomes = await asyncio.gather(*pending)
+            for (status, payload), oracle in zip(outcomes, oracles):
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+            # The 11 queries that arrived while the first one executed
+            # left together as soon as it finished.
+            assert gate.sizes == [1, len(bodies) - 1]
+            assert service.metrics.batches == 2
             assert service.metrics.answered == len(bodies)
 
-        run_service_test(example_service(example_itgraph, batch_window_ms=25.0), body)
+        run_service_test(service, body)
 
     def test_max_batch_flushes_early(self, example_itgraph, example_points):
+        """Five arrivals queued behind a busy venue leave in calls of
+        ``max_batch`` (4), then the rest (1)."""
         p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+        service, gate = gated_example_service(example_itgraph, max_batch=4)
 
         async def body(service):
-            started = time.perf_counter()
-            outcomes = await asyncio.gather(
-                *(post_query(service.host, service.port, query_body(p3, p4)) for _ in range(4))
+            pending = await queue_behind_gate(
+                service, gate, query_body(p3, p4), [query_body(p3, p4)] * 5
             )
-            elapsed = time.perf_counter() - started
-            assert all(status == 200 for status, _ in outcomes)
-            # The window is absurdly long; only the size trigger can have
-            # flushed within the test budget.
-            assert elapsed < 5.0
+            gate.open()
+            for status, payload in await asyncio.gather(*pending):
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+            assert gate.sizes == [1, 4, 1]
+            assert service.metrics.batches == 3
 
-        run_service_test(
-            example_service(example_itgraph, batch_window_ms=30_000.0, max_batch=4), body
+        run_service_test(service, body)
+
+    def test_idle_venue_answers_while_another_venue_executes(
+        self, example_itgraph, example_points
+    ):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+        busy = ITSPQEngine(example_itgraph)
+        gate = BatchGate(busy)
+        service = ITSPQService(
+            {"busy": busy, "idle": ITSPQEngine(example_itgraph)}, ServiceConfig()
         )
+
+        async def body(service):
+            held = asyncio.ensure_future(
+                post_query(service.host, service.port, query_body(p3, p4, venue="busy"))
+            )
+            await eventually(lambda: gate.calls)
+            status, payload = await post_query(
+                service.host, service.port, query_body(p3, p4, venue="idle")
+            )
+            assert status == 200 and payload["venue"] == "idle"
+            assert_matches_oracle(payload, oracle)
+            assert not held.done()  # the busy venue's batch is still executing
+            gate.open()
+            status, payload = await held
+            assert status == 200 and payload["venue"] == "busy"
+            assert_matches_oracle(payload, oracle)
+
+        run_service_test(service, body)
+
+    def test_methods_queued_together_answer_with_their_own_label(
+        self, example_itgraph, example_points
+    ):
+        points = example_points
+        cases = [
+            (points["p3"], points["p4"], "9:00", "synchronous"),
+            (points["p1"], points["p2"], "10:30", "asynchronous"),
+            (points["p2"], points["p1"], "18:00", "static"),
+        ]
+        oracle_engine = ITSPQEngine(example_itgraph)
+        oracles = [
+            oracle_engine.query(source, target, when, method=method)
+            for source, target, when, method in cases
+        ]
+        service, gate = gated_example_service(example_itgraph)
+
+        async def body(service):
+            pending = await queue_behind_gate(
+                service,
+                gate,
+                query_body(points["p3"], points["p4"]),
+                [query_body(source, target, when, method=method) for source, target, when, method in cases],
+            )
+            gate.open()
+            outcomes = await asyncio.gather(*pending)
+            for (status, payload), oracle in zip(outcomes[1:], oracles):
+                assert status == 200
+                assert payload["method"] == oracle.method_label
+                assert_matches_oracle(payload, oracle)
+            # One busy period, one run_batch call per method.
+            assert sorted(gate.calls[1:]) == [
+                ("asynchronous", 1),
+                ("static", 1),
+                ("synchronous", 1),
+            ]
+
+        run_service_test(service, body)
 
 
 class TestHttpSurface:
@@ -299,23 +380,26 @@ class TestBatchIsolation:
         oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
         outside = query_body(p3, p4)
         outside["source"] = [1e6, 1e6, 0]  # no partition covers it
+        service, gate = gated_example_service(example_itgraph)
 
         async def body(service):
-            (good_status, good), (bad_status, bad) = await asyncio.gather(
-                post_query(service.host, service.port, query_body(p3, p4)),
-                post_query(service.host, service.port, outside),
+            first, good_answer, bad_answer = await queue_behind_gate(
+                service, gate, query_body(p3, p4), [query_body(p3, p4), outside]
             )
-            assert service.metrics.batches == 1  # both rode one micro-batch
+            gate.open()
+            first_status, _ = await first
+            good_status, good = await good_answer
+            bad_status, bad = await bad_answer
+            assert first_status == 200
+            assert gate.sizes == [1, 2]  # the pair rode one micro-batch
             assert good_status == 200
             assert good["rung"] == "sequential"
             assert_matches_oracle(good, oracle)
             assert bad_status == 400
             assert bad["type"] == "QueryError"
-            assert service.metrics.answered_by_rung == {"sequential": 1}
+            assert service.metrics.answered_by_rung == {"batch": 1, "sequential": 1}
 
-        # max_batch=2 flushes the pair as soon as both arrive; the long
-        # window only keeps them together on a slow host.
-        run_service_test(example_service(example_itgraph, batch_window_ms=1000.0, max_batch=2), body)
+        run_service_test(service, body)
 
     def test_unexpected_batch_failure_answers_500_and_service_keeps_serving(
         self, example_itgraph, example_points
@@ -324,23 +408,25 @@ class TestBatchIsolation:
         oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
         failures = [RuntimeError("injected kernel fault")]
 
-        def fail_once():
-            if failures:
+        def fail_the_pair(queries, _method):
+            if len(queries) == 2 and failures:
                 raise failures.pop()
 
-        engine = wrap_run_batch(ITSPQEngine(example_itgraph), fail_once)
-        service = ITSPQService(
-            {"example": engine}, ServiceConfig(batch_window_ms=1000.0, max_batch=2)
-        )
+        engine = wrap_run_batch(ITSPQEngine(example_itgraph), fail_the_pair)
+        gate = BatchGate(engine)
+        service = ITSPQService({"example": engine}, ServiceConfig())
 
         async def body(service):
-            outcomes = await asyncio.gather(
-                *(post_query(service.host, service.port, query_body(p3, p4)) for _ in range(2))
+            first, *pair = await queue_behind_gate(
+                service, gate, query_body(p3, p4), [query_body(p3, p4)] * 2
             )
-            assert service.metrics.batches == 1
-            for status, payload in outcomes:
+            gate.open()
+            (status, payload), *pair_outcomes = await asyncio.gather(first, *pair)
+            assert status == 200 and payload["rung"] == "batch"
+            for status, payload in pair_outcomes:
                 assert status == 500
                 assert payload["type"] == "RuntimeError"
+            assert gate.sizes == [1, 2]
             assert service.metrics.internal_errors == 2
             status, payload = await post_query(service.host, service.port, query_body(p3, p4))
             assert status == 200 and payload["rung"] == "batch"
@@ -385,17 +471,9 @@ class TestDeadlines:
 class TestAdmissionControl:
     def test_queue_overflow_sheds_429(self, example_itgraph, example_points):
         p3, p4 = example_points["p3"], example_points["p4"]
-        # Each batch holds the only batch slot on a worker thread for 0.3 s.
+        # Each batch holds the venue on a worker thread for 0.3 s.
         engine = slow_run_batch(ITSPQEngine(example_itgraph), 0.3)
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(
-                batch_window_ms=0.0,
-                max_batch=1,
-                max_pending=2,
-                max_inflight_batches=1,
-            ),
-        )
+        service = ITSPQService({"example": engine}, ServiceConfig(max_batch=1, max_pending=2))
 
         async def body(service):
             outcomes = await asyncio.gather(

@@ -54,15 +54,7 @@ class TestQueueFlood:
     ):
         p3, p4 = example_points["p3"], example_points["p4"]
         engine = slow_run_batch(ITSPQEngine(example_itgraph), 0.05)
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(
-                batch_window_ms=0.0,
-                max_batch=1,
-                max_pending=3,
-                max_inflight_batches=1,
-            ),
-        )
+        service = ITSPQService({"example": engine}, ServiceConfig(max_batch=1, max_pending=3))
         bodies = [query_body(p3, p4) for _ in range(24)]
 
         async def body(service):
@@ -88,7 +80,7 @@ class TestSlowClient:
         engine = ITSPQEngine(example_itgraph)
         service = ITSPQService(
             {"example": engine},
-            ServiceConfig(batch_window_ms=0.0, client_timeout_seconds=0.2),
+            ServiceConfig(client_timeout_seconds=0.2),
         )
 
         async def body(service):
@@ -113,7 +105,7 @@ class TestSlowClient:
         p3, p4 = example_points["p3"], example_points["p4"]
         service = ITSPQService(
             {"example": ITSPQEngine(example_itgraph)},
-            ServiceConfig(batch_window_ms=0.0, client_timeout_seconds=0.2),
+            ServiceConfig(client_timeout_seconds=0.2),
         )
 
         async def body(service):

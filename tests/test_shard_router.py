@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -81,21 +82,20 @@ def two_shard_router(payload_files, **config_kwargs) -> ShardRouter:
         ShardSpec("shard-0", (f"a={payload_files['a']}",)),
         ShardSpec("shard-1", (f"b={payload_files['b']}",)),
     ]
-    config_kwargs.setdefault("worker_args", ("--cache", "eager", "--window-ms", "1"))
+    config_kwargs.setdefault("worker_args", ("--cache", "eager"))
     config_kwargs.setdefault("startup_timeout_seconds", 60.0)
     return ShardRouter(specs, ShardRouterConfig(**config_kwargs))
 
 
 def replica_router(payload_files, **config_kwargs) -> ShardRouter:
     """Venue ``a`` on both shards of ``--shards 2`` (two real replicas)."""
-    config_kwargs.setdefault("worker_args", ("--cache", "eager", "--window-ms", "20"))
+    config_kwargs.setdefault("worker_args", ("--cache", "eager"))
     config_kwargs.setdefault("startup_timeout_seconds", 60.0)
     return ShardRouter(plan_shards([f"a={payload_files['a']}"], 2), ShardRouterConfig(**config_kwargs))
 
 
 def one_shard_router(payload_files, **config_kwargs) -> ShardRouter:
     """Venue ``a`` alone on one shard."""
-    config_kwargs.setdefault("worker_args", ("--window-ms", "1"))
     config_kwargs.setdefault("startup_timeout_seconds", 60.0)
     specs = [ShardSpec("shard-0", (f"a={payload_files['a']}",))]
     return ShardRouter(specs, ShardRouterConfig(**config_kwargs))
@@ -423,6 +423,34 @@ class TestIdleConnections:
             assert metrics["router"]["proxy_failures"] == 0
 
         run_router_test(two_shard_router(payload_files, client_timeout_seconds=0.2), body)
+
+
+class TestDrain:
+    def test_router_with_pooled_shard_connections_drains_promptly(
+        self, payload_files, example_points
+    ):
+        """Each shard holds a pooled, idle router connection when the drain
+        starts; no shard waits out its 5 s client timeout on it."""
+        router = two_shard_router(payload_files)
+
+        async def scenario():
+            await router.start()
+            try:
+                for venue in ("a", "b"):
+                    status, _ = await post_query(
+                        router.host,
+                        router.port,
+                        query_body(example_points["p3"], example_points["p4"], venue=venue),
+                    )
+                    assert status == 200
+                for name in router.shard_names:
+                    assert router.shard_snapshot(name)["idle_connections"] == 1
+                started = time.monotonic()
+            finally:
+                await router.aclose()
+            return time.monotonic() - started
+
+        assert asyncio.run(scenario()) < 2.0
 
 
 class TestReplicas:
