@@ -224,6 +224,14 @@ class CachedTree:
         "total_events",
     )
 
+    def __init__(self) -> None:
+        # What :meth:`memory_bytes` reads, so that a tree accounts for no
+        # memory until a recording fills it in.
+        self.dist = array("d")
+        self.rows_by_partition: Dict[int, tuple] = {}
+        self.total_events = 0
+        self.total_pushes = 0
+
     def memory_bytes(self) -> int:
         """Approximate footprint of the recorded arrays (for reports)."""
         per_event = 8 + 8 + 9 * 8
@@ -255,6 +263,11 @@ class SPTreeCache:
         self.resolver = TimeKeyResolver(graph)
         self.generation = 1
         self._entries: "OrderedDict[tuple, CachedTree]" = OrderedDict()
+        # The entries' summed ``memory_bytes``, kept current on every store,
+        # replacement, eviction and drop: ``stats`` runs on the service's
+        # event-loop thread while a worker thread's batch stores trees, and
+        # summing over ``_entries`` there could meet a mutation mid-iteration.
+        self._memory_bytes = 0
         self._miss_tally: "OrderedDict[tuple, int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -273,6 +286,7 @@ class SPTreeCache:
                 self.hits += 1
                 return tree
             del self._entries[key]
+            self._memory_bytes -= tree.memory_bytes()
         self.misses += 1
         return None
 
@@ -309,10 +323,15 @@ class SPTreeCache:
     def store_tree(self, key: tuple, tree: CachedTree) -> None:
         """Insert a tree, evicting least-recently-used entries past capacity."""
         tree.generation = self.generation
+        replaced = self._entries.get(key)
+        if replaced is not None:
+            self._memory_bytes -= replaced.memory_bytes()
         self._entries[key] = tree
+        self._memory_bytes += tree.memory_bytes()
         self._entries.move_to_end(key)
         while len(self._entries) > self.config.max_entries:
-            self._entries.popitem(last=False)
+            _key, evicted = self._entries.popitem(last=False)
+            self._memory_bytes -= evicted.memory_bytes()
             self.evictions += 1
 
     def invalidate(self) -> None:
@@ -320,10 +339,13 @@ class SPTreeCache:
         recompile / graph-update hook)."""
         self.generation += 1
         self._entries.clear()
+        self._memory_bytes = 0
         self._miss_tally.clear()
 
     def stats(self) -> Dict[str, object]:
-        """Counter snapshot (what ``engine.cache_stats`` surfaces)."""
+        """Counter snapshot (what ``engine.cache_stats`` surfaces).  Reads
+        counters and ``len`` only, so another thread may call it while a
+        batch stores trees."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -333,7 +355,7 @@ class SPTreeCache:
             "generation": self.generation,
             "max_entries": self.config.max_entries,
             "mode": self.config.mode,
-            "memory_bytes": sum(tree.memory_bytes() for tree in self._entries.values()),
+            "memory_bytes": self._memory_bytes,
         }
 
     # -- recording -------------------------------------------------------------

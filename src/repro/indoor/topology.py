@@ -16,11 +16,16 @@ The paper (following Lu et al., ICDE 2012) works with six mappings:
 ``Graph_Update`` (Algorithm 3) reduces when doors close: removing a door from
 the mappings removes it from the search frontier without touching the
 underlying space.
+
+Every mapping iterates in insertion order, never in hash order: the searches
+walk them, so a venue built from the same calls in two processes answers
+every query with the same route and the same counters whatever each
+process's ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, Iterable, KeysView, Tuple
 
 from repro.exceptions import UnknownEntityError
 
@@ -28,9 +33,11 @@ from repro.exceptions import UnknownEntityError
 class Topology:
     """Door/partition incidence mappings with directionality.
 
-    The class is deliberately a plain container of sets so that reduced
-    copies (snapshots with closed doors removed) are cheap to derive; see
-    :meth:`without_doors`.
+    The class is deliberately a plain container of insertion-ordered sets
+    (dicts with ``None`` values) so that reduced copies (snapshots with
+    closed doors removed) are cheap to derive; see :meth:`without_doors`.
+    The mappings are returned as read-only ``dict.keys()`` views, which
+    compare equal to sets.
     """
 
     __slots__ = (
@@ -44,27 +51,27 @@ class Topology:
     )
 
     def __init__(self) -> None:
-        self._p2d: Dict[str, Set[str]] = {}
-        self._d2p: Dict[str, Set[str]] = {}
-        self._p2d_enterable: Dict[str, Set[str]] = {}
-        self._p2d_leaveable: Dict[str, Set[str]] = {}
-        self._d2p_enterable: Dict[str, Set[str]] = {}
-        self._d2p_leaveable: Dict[str, Set[str]] = {}
-        self._directed_edges: Set[Tuple[str, str, str]] = set()
+        self._p2d: Dict[str, Dict[str, None]] = {}
+        self._d2p: Dict[str, Dict[str, None]] = {}
+        self._p2d_enterable: Dict[str, Dict[str, None]] = {}
+        self._p2d_leaveable: Dict[str, Dict[str, None]] = {}
+        self._d2p_enterable: Dict[str, Dict[str, None]] = {}
+        self._d2p_leaveable: Dict[str, Dict[str, None]] = {}
+        self._directed_edges: Dict[Tuple[str, str, str], None] = {}
 
     # -- construction ----------------------------------------------------------
 
     def register_partition(self, partition_id: str) -> None:
         """Ensure ``partition_id`` has (possibly empty) entries in the mappings."""
-        self._p2d.setdefault(partition_id, set())
-        self._p2d_enterable.setdefault(partition_id, set())
-        self._p2d_leaveable.setdefault(partition_id, set())
+        self._p2d.setdefault(partition_id, {})
+        self._p2d_enterable.setdefault(partition_id, {})
+        self._p2d_leaveable.setdefault(partition_id, {})
 
     def register_door(self, door_id: str) -> None:
         """Ensure ``door_id`` has (possibly empty) entries in the mappings."""
-        self._d2p.setdefault(door_id, set())
-        self._d2p_enterable.setdefault(door_id, set())
-        self._d2p_leaveable.setdefault(door_id, set())
+        self._d2p.setdefault(door_id, {})
+        self._d2p_enterable.setdefault(door_id, {})
+        self._d2p_leaveable.setdefault(door_id, {})
 
     def add_directed_connection(self, from_partition: str, to_partition: str, door_id: str) -> None:
         """Record that one can move from ``from_partition`` to ``to_partition``
@@ -75,16 +82,17 @@ class Topology:
         self.register_partition(from_partition)
         self.register_partition(to_partition)
         self.register_door(door_id)
-        self._directed_edges.add((from_partition, to_partition, door_id))
+        self._directed_edges[(from_partition, to_partition, door_id)] = None
 
-        self._p2d[from_partition].add(door_id)
-        self._p2d[to_partition].add(door_id)
-        self._d2p[door_id].update((from_partition, to_partition))
+        self._p2d[from_partition][door_id] = None
+        self._p2d[to_partition][door_id] = None
+        self._d2p[door_id][from_partition] = None
+        self._d2p[door_id][to_partition] = None
 
-        self._p2d_leaveable[from_partition].add(door_id)
-        self._p2d_enterable[to_partition].add(door_id)
-        self._d2p_leaveable[door_id].add(from_partition)
-        self._d2p_enterable[door_id].add(to_partition)
+        self._p2d_leaveable[from_partition][door_id] = None
+        self._p2d_enterable[to_partition][door_id] = None
+        self._d2p_leaveable[door_id][from_partition] = None
+        self._d2p_enterable[door_id][to_partition] = None
 
     # -- the six mappings --------------------------------------------------------
 
@@ -96,52 +104,52 @@ class Topology:
         if door_id not in self._d2p:
             raise UnknownEntityError(f"unknown door {door_id!r}")
 
-    def doors_of(self, partition_id: str) -> FrozenSet[str]:
+    def doors_of(self, partition_id: str) -> KeysView[str]:
         """``P2D(v)``: doors attached to ``partition_id``."""
         self._require_partition(partition_id)
-        return frozenset(self._p2d[partition_id])
+        return self._p2d[partition_id].keys()
 
-    def partitions_of(self, door_id: str) -> FrozenSet[str]:
+    def partitions_of(self, door_id: str) -> KeysView[str]:
         """``D2P(d)``: partitions attached to ``door_id``."""
         self._require_door(door_id)
-        return frozenset(self._d2p[door_id])
+        return self._d2p[door_id].keys()
 
-    def enterable_doors(self, partition_id: str) -> FrozenSet[str]:
+    def enterable_doors(self, partition_id: str) -> KeysView[str]:
         """``P2D⊢(v)``: doors through which one can enter ``partition_id``."""
         self._require_partition(partition_id)
-        return frozenset(self._p2d_enterable[partition_id])
+        return self._p2d_enterable[partition_id].keys()
 
-    def leaveable_doors(self, partition_id: str) -> FrozenSet[str]:
+    def leaveable_doors(self, partition_id: str) -> KeysView[str]:
         """``P2D⊣(v)``: doors through which one can leave ``partition_id``."""
         self._require_partition(partition_id)
-        return frozenset(self._p2d_leaveable[partition_id])
+        return self._p2d_leaveable[partition_id].keys()
 
-    def enterable_partitions(self, door_id: str) -> FrozenSet[str]:
+    def enterable_partitions(self, door_id: str) -> KeysView[str]:
         """``D2P⊢(d)``: partitions one can enter through ``door_id``."""
         self._require_door(door_id)
-        return frozenset(self._d2p_enterable[door_id])
+        return self._d2p_enterable[door_id].keys()
 
-    def leaveable_partitions(self, door_id: str) -> FrozenSet[str]:
+    def leaveable_partitions(self, door_id: str) -> KeysView[str]:
         """``D2P⊣(d)``: partitions one can leave through ``door_id``."""
         self._require_door(door_id)
-        return frozenset(self._d2p_leaveable[door_id])
+        return self._d2p_leaveable[door_id].keys()
 
     # -- collection views ----------------------------------------------------------
 
     @property
-    def partition_ids(self) -> FrozenSet[str]:
+    def partition_ids(self) -> KeysView[str]:
         """All partitions known to the topology."""
-        return frozenset(self._p2d)
+        return self._p2d.keys()
 
     @property
-    def door_ids(self) -> FrozenSet[str]:
+    def door_ids(self) -> KeysView[str]:
         """All doors known to the topology."""
-        return frozenset(self._d2p)
+        return self._d2p.keys()
 
     @property
-    def directed_edges(self) -> FrozenSet[Tuple[str, str, str]]:
+    def directed_edges(self) -> KeysView[Tuple[str, str, str]]:
         """All directed connections ``(from_partition, to_partition, door)``."""
-        return frozenset(self._directed_edges)
+        return self._directed_edges.keys()
 
     def has_door(self, door_id: str) -> bool:
         """Return ``True`` when ``door_id`` is present in the topology."""

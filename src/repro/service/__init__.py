@@ -22,7 +22,11 @@ whole request path in robustness machinery:
 * **graceful lifecycle** — ``/healthz`` / ``/readyz`` / ``/metrics``
   endpoints and idempotent drain-then-close shutdown that answers every
   admitted query and hangs up idle keep-alive connections at once
-  (:mod:`repro.service.server`, :mod:`repro.service.wire`);
+  (:mod:`repro.service.server`);
+* **one HTTP front-end** — the socket, keep-alive connection loop, typed
+  framing refusals, response writer and routes live once in
+  :class:`~repro.service.wire.FrontEnd`, which the service and the shard
+  router both extend, supplying only what their routes answer;
 * **sharded serving** — a :class:`~repro.service.shard.ShardRouter`
   front-end over N supervised service subprocesses (one venue subset each,
   static venue→shards map with replicas on spare shards, pooled proxying

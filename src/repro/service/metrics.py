@@ -1,10 +1,11 @@
 """Service counters and latency percentiles for ``/metrics``.
 
-Deliberately dependency-free: a bounded reservoir of recent request
+Deliberately dependency-free: a :class:`LatencyReservoir` of recent request
 latencies (newest-wins ring buffer, so percentiles reflect the current
-regime rather than the whole process lifetime) plus plain counters keyed by
-outcome and by rung (the shared ``batch`` search or the ``sequential``
-re-run that isolates a malformed member).  The knee sweep
+regime rather than the whole process lifetime; the shard router's
+``RouterMetrics`` keeps one too) plus plain counters keyed by outcome and
+by rung (the shared ``batch`` search or the ``sequential`` re-run that
+isolates a malformed member).  The knee sweep
 (``benchmarks/bench_service_knee.py``) reads ``answered`` and ``batches``
 from this snapshot for the mean batch size it writes to
 ``BENCH_service.json``.
@@ -12,16 +13,48 @@ from this snapshot for the mean batch size it writes to
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Iterable, Optional
+
+
+#: The latencies a :class:`LatencyReservoir` keeps.
+RESERVOIR_SIZE = 8192
+
+
+class LatencyReservoir:
+    """The newest :data:`RESERVOIR_SIZE` latencies of one front-end
+    (seconds) and their nearest-rank percentiles (single event-loop use)."""
+
+    def __init__(self) -> None:
+        self._samples: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
+
+    def observe(self, seconds: float) -> None:
+        self._samples.append(seconds)
+
+    def percentile(self, fraction: float) -> Optional[float]:
+        """The nearest-rank ``fraction`` (0..1) percentile, the
+        ``ceil(fraction * n)``-th smallest sample, or ``None`` when empty.
+        Sorts a copy: the reservoir is small and ``/metrics`` is not a hot
+        path."""
+        if not self._samples:
+            return None
+        ordered = sorted(self._samples)
+        return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
+
+    def snapshot(self) -> Dict[str, object]:
+        """The latency fields that end a ``/metrics`` request section."""
+        return {
+            "latency_samples": len(self._samples),
+            "latency_p50_seconds": self.percentile(0.50),
+            "latency_p99_seconds": self.percentile(0.99),
+        }
 
 
 class ServiceMetrics:
     """Counters + a bounded latency reservoir (single event-loop use)."""
 
-    def __init__(self, reservoir_size: int = 8192):
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
+    def __init__(self) -> None:
         self.received = 0
         self.answered = 0
         self.shed = 0  # 429s: admission
@@ -32,7 +65,8 @@ class ServiceMetrics:
         self.internal_errors = 0  # 500s
         self.batches = 0
         self.answered_by_rung: Dict[str, int] = {}
-        self._latencies: Deque[float] = deque(maxlen=reservoir_size)
+        #: Service-side request latencies (admit → response).
+        self.latencies = LatencyReservoir()
 
     def observe_outcome(self, status: int) -> None:
         """Count one finished request by its HTTP status."""
@@ -55,20 +89,6 @@ class ServiceMetrics:
         """Count ``count`` queries answered on ``rung``."""
         self.answered_by_rung[rung] = self.answered_by_rung.get(rung, 0) + count
 
-    def observe_latency(self, seconds: float) -> None:
-        """Record one request's service-side latency (admit → response)."""
-        self._latencies.append(seconds)
-
-    def percentile(self, fraction: float) -> Optional[float]:
-        """The ``fraction`` (0..1) percentile of the reservoir, or ``None``
-        when empty.  Nearest-rank on a sorted copy — the reservoir is small
-        and ``/metrics`` is not a hot path."""
-        if not self._latencies:
-            return None
-        ordered = sorted(self._latencies)
-        rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[rank]
-
     def snapshot(self) -> Dict[str, object]:
         """The ``/metrics`` payload's request section."""
         return {
@@ -82,9 +102,7 @@ class ServiceMetrics:
             "internal_errors": self.internal_errors,
             "batches": self.batches,
             "answered_by_rung": dict(self.answered_by_rung),
-            "latency_samples": len(self._latencies),
-            "latency_p50_seconds": self.percentile(0.50),
-            "latency_p99_seconds": self.percentile(0.99),
+            **self.latencies.snapshot(),
         }
 
 

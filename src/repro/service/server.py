@@ -1,10 +1,13 @@
-"""The asyncio ITSPQ query service: HTTP front-end and micro-batching.
+"""The asyncio ITSPQ query service: venue queues and micro-batching.
 
 One :class:`ITSPQService` owns a set of named venues (each an
 :class:`~repro.core.engine.ITSPQEngine`, built normally or rehydrated from a
 :mod:`repro.io.compiled_codec` payload via :meth:`ITSPQService.from_payloads`)
 and serves a minimal HTTP/1.1 API over raw asyncio streams — deliberately
-dependency-free, like the rest of the repository:
+dependency-free, like the rest of the repository.  The socket, connection
+loop, responses and routes are the :class:`~repro.service.wire.FrontEnd`
+it shares with the shard router; this module supplies what the routes
+answer:
 
 ``POST /query``
     Body: ``{"venue": name?, "source": [x, y, floor], "target":
@@ -58,7 +61,6 @@ idempotent).
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -78,21 +80,7 @@ from repro.exceptions import (
 from repro.geometry.point import IndoorPoint
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
-from repro.service.wire import FramingError, KeepAliveConnections
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    411: "Length Required",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+from repro.service.wire import FrontEnd, check_front_end_config, error_response, json_body, query_venue
 
 #: The ``"rung"`` of an answer: the shared micro-batch search, or the
 #: one-by-one re-run that isolates a member whose query poisoned it.
@@ -149,16 +137,7 @@ class ServiceConfig:
             raise ValueError(
                 f"default_deadline_ms must be positive or None, got {self.default_deadline_ms}"
             )
-        if not self.client_timeout_seconds > 0:
-            raise ValueError(
-                f"client_timeout_seconds must be positive, got {self.client_timeout_seconds}"
-            )
-        if self.drain_timeout_seconds < 0:
-            raise ValueError(
-                f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
-            )
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
+        check_front_end_config(self)
 
 
 class _Member:
@@ -179,14 +158,14 @@ class _Member:
         self.future = future
 
 
-class ITSPQService:
+class ITSPQService(FrontEnd):
     """The serving layer over one or more compiled venues (see module doc)."""
 
     def __init__(self, engines: Dict[str, ITSPQEngine], config: Optional[ServiceConfig] = None):
         if not engines:
             raise ValueError("the service needs at least one venue engine")
+        super().__init__(config if config is not None else ServiceConfig())
         self._engines: Dict[str, ITSPQEngine] = dict(engines)
-        self._config = config if config is not None else ServiceConfig()
         # One lock per venue: the SP-tree cache's LRU and counters are not
         # thread-safe, so every execution of a venue is serialised across
         # worker threads.
@@ -197,14 +176,6 @@ class ITSPQService:
         # queue while it is busy (absent while the venue is idle).
         self._queues: Dict[str, List[_Member]] = {name: [] for name in self._engines}
         self._runners: Dict[str, asyncio.Task] = {}
-        self._connections = KeepAliveConnections()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._started = False
-        self._draining = False
-        self._closed = False
-        self._active_handlers = 0
-        self.host: str = self._config.host
-        self.port: int = self._config.port
 
     @classmethod
     def from_payloads(
@@ -246,10 +217,6 @@ class ITSPQService:
     def venues(self) -> Tuple[str, ...]:
         return tuple(self._engines)
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
@@ -258,150 +225,27 @@ class ITSPQService:
             return
         for engine in self._engines.values():
             await asyncio.to_thread(engine.ensure_compiled)
-        self._server = await asyncio.start_server(
-            self._handle_client, self._config.host, self._config.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        self._started = True
+        await self._listen()
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (``python -m repro.service`` awaits this)."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        """Drain, then close: stop admitting, hang up idle keep-alive
-        connections, run every venue's queue empty, wait for in-flight
-        handlers, close the socket.  Idempotent."""
-        if self._closed:
-            return
-        self._draining = True
-        self._connections.close_idle()
+    async def _drain(self) -> None:
+        """Run every venue's queue empty, then wait for in-flight handlers."""
         while self._runners:
             await asyncio.gather(*list(self._runners.values()), return_exceptions=True)
-        deadline = time.monotonic() + self._config.drain_timeout_seconds
-        while self._active_handlers > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-            self._server = None
-        self._closed = True
+        await self._wait_for_handlers()
 
-    # -- HTTP plumbing ---------------------------------------------------------
+    # -- what the routes answer ------------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._active_handlers += 1
-        try:
-            while True:
-                try:
-                    request = await self._connections.read_request(
-                        reader,
-                        writer,
-                        self._config.max_body_bytes,
-                        self._config.client_timeout_seconds,
-                    )
-                except asyncio.TimeoutError:
-                    self._metrics.received += 1
-                    self._metrics.observe_outcome(408)
-                    await self._respond(
-                        writer,
-                        408,
-                        {"error": "request not received in time", "type": "ClientTimeout"},
-                        keep_alive=False,
-                    )
-                    return
-                except FramingError as exc:
-                    self._metrics.received += 1
-                    self._metrics.observe_outcome(exc.status)
-                    await self._respond(
-                        writer,
-                        exc.status,
-                        {"error": str(exc), "type": type(exc).__name__},
-                        keep_alive=False,
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # disconnect or garbage framing: nothing to answer
-                if request is None:
-                    return  # EOF, idle between requests, or draining: no reply
-                http_method, path, body = request
-                keep_alive = await self._dispatch(writer, http_method, path, body)
-                if not keep_alive:
-                    return
-        finally:
-            self._active_handlers -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    def _refused(self, status: int) -> None:
+        self._metrics.received += 1
+        self._metrics.observe_outcome(status)
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        keep_alive: bool = True,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # the client went away; its pending slot is still released
+    def _health(self) -> Dict[str, Any]:
+        return {}
 
-    async def _dispatch(
-        self, writer: asyncio.StreamWriter, http_method: str, path: str, body: bytes
-    ) -> bool:
-        """Route one request; returns whether to keep the connection."""
-        path = path.split("?", 1)[0]
-        if path == "/query":
-            if http_method != "POST":
-                await self._respond(writer, 405, {"error": "POST only", "type": "MethodNotAllowed"})
-                return True
-            self._metrics.received += 1
-            started = time.perf_counter()
-            status, payload = await self._handle_query(body)
-            self._metrics.observe_latency(time.perf_counter() - started)
-            self._metrics.observe_outcome(status)
-            await self._respond(writer, status, payload)
-            return True
-        if http_method != "GET":
-            await self._respond(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
-            return True
-        if path == "/healthz":
-            await self._respond(writer, 200, {"status": "alive", "draining": self._draining})
-            return True
-        if path == "/readyz":
-            ready = self._started and not self._draining
-            payload = {
-                "status": "ready" if ready else "not-ready",
-                "draining": self._draining,
-                "venues": list(self._engines),
-                "admission": self._admission.snapshot(),
-            }
-            await self._respond(writer, 200 if ready else 503, payload)
-            return True
-        if path == "/metrics":
-            await self._respond(writer, 200, self._metrics_payload())
-            return True
-        await self._respond(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
-        return True
+    def _readiness(self, ready: bool) -> Tuple[bool, Dict[str, Any]]:
+        return ready, {"venues": list(self._engines), "admission": self._admission.snapshot()}
 
-    def _metrics_payload(self) -> Dict[str, Any]:
+    async def _metrics_payload(self) -> Dict[str, Any]:
         venues: Dict[str, Any] = {}
         for name, engine in self._engines.items():
             report = engine.last_execution_report
@@ -418,48 +262,45 @@ class ITSPQService:
             "venues": venues,
         }
 
+    async def _query(self, body: bytes) -> Tuple[int, bytes]:
+        self._metrics.received += 1
+        started = time.perf_counter()
+        status, response = await self._handle_query(body)
+        self._metrics.latencies.observe(time.perf_counter() - started)
+        self._metrics.observe_outcome(status)
+        return status, response
+
     # -- the query path --------------------------------------------------------
 
-    async def _handle_query(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _handle_query(self, body: bytes) -> Tuple[int, bytes]:
         if not self._started or self._draining:
-            return 503, {
-                "error": "draining" if self._draining else "not started",
-                "type": "ServiceUnavailableError",
-            }
+            return error_response(
+                503, "draining" if self._draining else "not started", "ServiceUnavailableError"
+            )
         try:
             venue, method_name, query, deadline = self._parse_query(body)
         except (ReproError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
-            return 400, {"error": str(exc) or exc.__class__.__name__, "type": type(exc).__name__}
+            return error_response(400, str(exc) or exc.__class__.__name__, type(exc).__name__)
         try:
             self._admission.admit()
         except ServiceOverloadedError as exc:
-            return 429, {"error": str(exc), "type": type(exc).__name__}
+            return error_response(429, str(exc), type(exc).__name__)
         try:
             result, rung = await self._enqueue(venue, method_name, query, deadline)
-            return 200, self._result_payload(result, rung, venue)
+            return 200, json_body(self._result_payload(result, rung, venue))
         except DeadlineExceededError as exc:
-            return 504, {"error": str(exc), "type": type(exc).__name__}
+            return error_response(504, str(exc), type(exc).__name__)
         except QueryError as exc:
-            return 400, {"error": str(exc), "type": type(exc).__name__}
+            return error_response(400, str(exc), type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 - the typed 500 boundary
-            return 500, {"error": str(exc) or exc.__class__.__name__, "type": type(exc).__name__}
+            return error_response(500, str(exc) or exc.__class__.__name__, type(exc).__name__)
         finally:
             self._admission.release()
 
     def _parse_query(
         self, body: bytes
     ) -> Tuple[str, str, ITSPQuery, Optional[SearchDeadline]]:
-        document = json.loads(body.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("the query body must be a JSON object")
-        if "venue" in document:
-            venue = str(document["venue"])
-            if venue not in self._engines:
-                raise ValueError(f"unknown venue {venue!r} (have {sorted(self._engines)})")
-        elif len(self._engines) == 1:
-            venue = next(iter(self._engines))
-        else:
-            raise ValueError(f"multi-venue service: pick a venue from {sorted(self._engines)}")
+        venue, document = query_venue(body, self._engines, "service")
         method_name = canonical_method(str(document.get("method", "synchronous")))
 
         def point(name: str) -> IndoorPoint:

@@ -38,7 +38,10 @@ Worker processes are real ``python -m repro.service`` subprocesses — the
 same entry point, flags and lifecycle a single-process deployment uses
 (SIGINT → drain → ``drained and closed``), so everything in
 ``docs/OPERATIONS.md`` about one service process applies verbatim to every
-shard.
+shard.  The router's own socket, connection loop, responses and routes are
+the :class:`~repro.service.wire.FrontEnd` it shares with the service; this
+module supplies the plan, the supervision, the connection pools and the
+proxying.
 """
 
 from __future__ import annotations
@@ -53,29 +56,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.service.metrics import aggregate_request_snapshots
-from repro.service.wire import FramingError, KeepAliveConnections
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    411: "Length Required",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+from repro.service.metrics import LatencyReservoir, aggregate_request_snapshots
+from repro.service.wire import FrontEnd, check_front_end_config, error_response, query_venue
 
 #: Shard process states surfaced by ``/readyz`` and ``/metrics``.
 SHARD_STARTING = "starting"  #: spawned, waiting for its ``listening on`` line.
 SHARD_UP = "up"  #: serving; the only state the router proxies to.
 SHARD_DOWN = "down"  #: died unexpectedly; the supervisor is respawning it.
-SHARD_FAILED = "failed"  #: gave up after ``max_respawns`` failed respawns.
 SHARD_STOPPED = "stopped"  #: drained deliberately by :meth:`ShardRouter.aclose`.
 
 
@@ -161,11 +148,8 @@ class ShardRouterConfig:
         How long a spawning worker may take to print ``listening on``.
     respawn_backoff_base / respawn_backoff_cap:
         The n-th consecutive respawn attempt after a shard death waits
-        ``min(cap, base * 2**(n-1))`` seconds.
-    max_respawns:
-        Consecutive *failed* respawn attempts before a shard is declared
-        ``failed`` and left down (``None`` retries forever); a successful
-        respawn resets the count.
+        ``min(cap, base * 2**(n-1))`` seconds; attempts go on until one
+        succeeds or the router drains.
     drain_timeout_seconds:
         How long :meth:`ShardRouter.aclose` waits for in-flight proxies,
         and then for each SIGINTed worker to drain, before escalating.
@@ -187,7 +171,6 @@ class ShardRouterConfig:
     startup_timeout_seconds: float = 120.0
     respawn_backoff_base: float = 0.5
     respawn_backoff_cap: float = 30.0
-    max_respawns: Optional[int] = None
     drain_timeout_seconds: float = 15.0
     worker_args: Tuple[str, ...] = ()
     max_body_bytes: int = 1 << 20
@@ -198,10 +181,6 @@ class ShardRouterConfig:
         if self.max_inflight_per_shard < 1:
             raise ValueError(
                 f"max_inflight_per_shard must be positive, got {self.max_inflight_per_shard}"
-            )
-        if not self.client_timeout_seconds > 0:
-            raise ValueError(
-                f"client_timeout_seconds must be positive, got {self.client_timeout_seconds}"
             )
         if not self.shard_request_timeout_seconds > 0:
             raise ValueError(
@@ -220,14 +199,7 @@ class ShardRouterConfig:
             raise ValueError(
                 f"respawn_backoff_cap must be non-negative, got {self.respawn_backoff_cap}"
             )
-        if self.max_respawns is not None and self.max_respawns < 1:
-            raise ValueError(f"max_respawns must be positive or None, got {self.max_respawns}")
-        if self.drain_timeout_seconds < 0:
-            raise ValueError(
-                f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
-            )
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
+        check_front_end_config(self)
 
 
 class RouterMetrics:
@@ -239,9 +211,7 @@ class RouterMetrics:
     a bounded newest-wins reservoir.
     """
 
-    def __init__(self, reservoir_size: int = 8192):
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
+    def __init__(self) -> None:
         self.received = 0
         self.routed = 0  # forwarded to a shard and answered by it
         self.bad_requests = 0  # 400/411/431s the router itself produced
@@ -253,7 +223,8 @@ class RouterMetrics:
         self.unavailable = 0  # 503s while the router drains
         self.routed_by_shard: Dict[str, int] = {}
         self.responses_by_status: Dict[str, int] = {}
-        self._latencies: Deque[float] = deque(maxlen=reservoir_size)
+        #: End-to-end latencies of the routed requests.
+        self.latencies = LatencyReservoir()
 
     def observe_routed(self, shard: str, status: int, seconds: float) -> None:
         """Count one request answered end-to-end through ``shard``."""
@@ -261,15 +232,7 @@ class RouterMetrics:
         self.routed_by_shard[shard] = self.routed_by_shard.get(shard, 0) + 1
         key = str(status)
         self.responses_by_status[key] = self.responses_by_status.get(key, 0) + 1
-        self._latencies.append(seconds)
-
-    def percentile(self, fraction: float) -> Optional[float]:
-        """Nearest-rank percentile of the latency reservoir (or ``None``)."""
-        if not self._latencies:
-            return None
-        ordered = sorted(self._latencies)
-        rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[rank]
+        self.latencies.observe(seconds)
 
     def snapshot(self) -> Dict[str, object]:
         """The ``/metrics`` payload's ``router`` section."""
@@ -285,9 +248,7 @@ class RouterMetrics:
             "unavailable": self.unavailable,
             "routed_by_shard": dict(self.routed_by_shard),
             "responses_by_status": dict(self.responses_by_status),
-            "latency_samples": len(self._latencies),
-            "latency_p50_seconds": self.percentile(0.50),
-            "latency_p99_seconds": self.percentile(0.99),
+            **self.latencies.snapshot(),
         }
 
 
@@ -325,7 +286,7 @@ class _ShardHandle:
         }
 
 
-class ShardRouter:
+class ShardRouter(FrontEnd):
     """The sharded serving topology's front-end (see the module docstring)."""
 
     def __init__(self, shards: Sequence[ShardSpec], config: Optional[ShardRouterConfig] = None):
@@ -335,7 +296,7 @@ class ShardRouter:
         names = [spec.name for spec in shards]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names: {names}")
-        self._config = config if config is not None else ShardRouterConfig()
+        super().__init__(config if config is not None else ShardRouterConfig())
         self._handles: Dict[str, _ShardHandle] = {spec.name: _ShardHandle(spec) for spec in shards}
         # Each venue's replicas in plan order; replicas must serve one payload.
         self._replicas: Dict[str, List[_ShardHandle]] = {}
@@ -351,14 +312,6 @@ class ShardRouter:
                     )
                 self._replicas.setdefault(venue, []).append(self._handles[spec.name])
         self._metrics = RouterMetrics()
-        self._connections = KeepAliveConnections()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._started = False
-        self._draining = False
-        self._closed = False
-        self._active_handlers = 0
-        self.host: str = self._config.host
-        self.port: int = self._config.port
 
     # -- introspection ---------------------------------------------------------
 
@@ -377,10 +330,6 @@ class ShardRouter:
     @property
     def shard_names(self) -> Tuple[str, ...]:
         return tuple(self._handles)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def shards_of(self, venue: str) -> Tuple[str, ...]:
         """The names of the shards serving ``venue``, in plan order
@@ -406,31 +355,12 @@ class ShardRouter:
             raise RuntimeError(f"shard startup failed: {failures[0]}") from failures[0]
         for handle in self._handles.values():
             handle.supervisor = asyncio.get_running_loop().create_task(self._supervise(handle))
-        self._server = await asyncio.start_server(
-            self._handle_client, self._config.host, self._config.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        self._started = True
+        await self._listen()
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (``python -m repro.service --shards`` awaits this)."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        """Drain, then close: stop admitting, hang up idle client
-        connections, wait for in-flight proxies, close the pools, SIGINT
-        every worker and wait for its graceful drain, close the socket.
-        Idempotent."""
-        if self._closed:
-            return
-        self._draining = True
-        self._connections.close_idle()
-        deadline = time.monotonic() + self._config.drain_timeout_seconds
-        while self._active_handlers > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+    async def _drain(self) -> None:
+        """Wait for in-flight proxies, close the pools, SIGINT every worker
+        and wait for its graceful drain."""
+        await self._wait_for_handlers()
         for handle in self._handles.values():
             if handle.supervisor is not None:
                 handle.supervisor.cancel()
@@ -445,14 +375,6 @@ class ShardRouter:
         for handle in self._handles.values():
             self._discard_idle(handle)
         await self._stop_workers()
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-            self._server = None
-        self._closed = True
 
     async def _stop_workers(self) -> None:
         """SIGINT every live worker (its drain path), escalating to SIGKILL
@@ -609,12 +531,6 @@ class ShardRouter:
                 except Exception as exc:
                     attempt += 1
                     handle.last_error = str(exc)
-                    if (
-                        self._config.max_respawns is not None
-                        and attempt >= self._config.max_respawns
-                    ):
-                        handle.state = SHARD_FAILED
-                        return
                 else:
                     handle.respawns += 1
                     break
@@ -687,132 +603,24 @@ class ShardRouter:
                 pass
         return status, payload
 
-    # -- HTTP plumbing (client side) -------------------------------------------
+    # -- what the routes answer ------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._active_handlers += 1
-        try:
-            while True:
-                try:
-                    request = await self._connections.read_request(
-                        reader,
-                        writer,
-                        self._config.max_body_bytes,
-                        self._config.client_timeout_seconds,
-                    )
-                except asyncio.TimeoutError:
-                    self._metrics.received += 1
-                    self._metrics.client_timeouts += 1
-                    await self._respond_json(
-                        writer,
-                        408,
-                        {"error": "request not received in time", "type": "ClientTimeout"},
-                        keep_alive=False,
-                    )
-                    return
-                except FramingError as exc:
-                    self._metrics.received += 1
-                    self._metrics.bad_requests += 1
-                    await self._respond_json(
-                        writer,
-                        exc.status,
-                        {"error": str(exc), "type": type(exc).__name__},
-                        keep_alive=False,
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-                if request is None:
-                    return  # EOF, idle between requests, or draining: no reply
-                http_method, path, body = request
-                keep_alive = await self._dispatch(writer, http_method, path, body)
-                if not keep_alive:
-                    return
-        finally:
-            self._active_handlers -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    def _refused(self, status: int) -> None:
+        self._metrics.received += 1
+        if status == 408:
+            self._metrics.client_timeouts += 1
+        else:
+            self._metrics.bad_requests += 1
 
-    async def _respond_raw(
-        self, writer: asyncio.StreamWriter, status: int, body: bytes, keep_alive: bool = True
-    ) -> None:
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
+    def _health(self) -> Dict[str, Any]:
+        return {"shards": {name: handle.state for name, handle in self._handles.items()}}
 
-    async def _respond_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        keep_alive: bool = True,
-    ) -> None:
-        await self._respond_raw(
-            writer, status, json.dumps(payload).encode("utf-8"), keep_alive=keep_alive
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _dispatch(
-        self, writer: asyncio.StreamWriter, http_method: str, path: str, body: bytes
-    ) -> bool:
-        path = path.split("?", 1)[0]
-        if path == "/query":
-            if http_method != "POST":
-                await self._respond_json(
-                    writer, 405, {"error": "POST only", "type": "MethodNotAllowed"}
-                )
-                return True
-            self._metrics.received += 1
-            status, payload = await self._route_query(body)
-            await self._respond_raw(writer, status, payload)
-            return True
-        if http_method != "GET":
-            await self._respond_json(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
-            return True
-        if path == "/healthz":
-            await self._respond_json(
-                writer,
-                200,
-                {
-                    "status": "alive",
-                    "draining": self._draining,
-                    "shards": {
-                        name: handle.state for name, handle in self._handles.items()
-                    },
-                },
-            )
-            return True
-        if path == "/readyz":
-            all_up = all(handle.state == SHARD_UP for handle in self._handles.values())
-            ready = self._started and not self._draining and all_up
-            payload = {
-                "status": "ready" if ready else "not-ready",
-                "draining": self._draining,
-                "venues": sorted(self._replicas),
-                "shards": {name: handle.snapshot() for name, handle in self._handles.items()},
-            }
-            await self._respond_json(writer, 200 if ready else 503, payload)
-            return True
-        if path == "/metrics":
-            await self._respond_json(writer, 200, await self._metrics_payload())
-            return True
-        await self._respond_json(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
-        return True
+    def _readiness(self, ready: bool) -> Tuple[bool, Dict[str, Any]]:
+        all_up = all(handle.state == SHARD_UP for handle in self._handles.values())
+        return ready and all_up, {
+            "venues": sorted(self._replicas),
+            "shards": {name: handle.snapshot() for name, handle in self._handles.items()},
+        }
 
     async def _metrics_payload(self) -> Dict[str, Any]:
         """The aggregated ``/metrics`` document: the router's own counters,
@@ -852,47 +660,29 @@ class ShardRouter:
             "aggregate": aggregate_request_snapshots(request_sections),
         }
 
-    def _resolve_venue(self, body: bytes) -> str:
-        """The venue a ``/query`` body routes to (raises ``ValueError``)."""
-        document = json.loads(body.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("the query body must be a JSON object")
-        if "venue" in document:
-            venue = str(document["venue"])
-            if venue not in self._replicas:
-                raise ValueError(f"unknown venue {venue!r} (have {sorted(self._replicas)})")
-            return venue
-        if len(self._replicas) == 1:
-            return next(iter(self._replicas))
-        raise ValueError(f"multi-venue deployment: pick a venue from {sorted(self._replicas)}")
-
-    async def _route_query(self, body: bytes) -> Tuple[int, bytes]:
+    async def _query(self, body: bytes) -> Tuple[int, bytes]:
         """Proxy one ``POST /query`` to the live replica of its venue with
         the fewest requests in flight (ties go to the earlier shard in plan
         order)."""
-
-        def error(status: int, message: str, error_type: str, **extra: Any) -> Tuple[int, bytes]:
-            payload = {"error": message, "type": error_type, **extra}
-            return status, json.dumps(payload).encode("utf-8")
-
+        self._metrics.received += 1
         if not self._started or self._draining:
             self._metrics.unavailable += 1
-            return error(
+            return error_response(
                 503,
                 "draining" if self._draining else "not started",
                 "ServiceUnavailableError",
             )
         try:
-            venue = self._resolve_venue(body)
+            venue, _document = query_venue(body, self._replicas, "deployment")
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             self._metrics.bad_requests += 1
-            return error(400, str(exc) or exc.__class__.__name__, type(exc).__name__)
+            return error_response(400, str(exc) or exc.__class__.__name__, type(exc).__name__)
         replicas = self._replicas[venue]
         live = [handle for handle in replicas if handle.state == SHARD_UP]
         if not live:
             self._metrics.shard_unavailable += 1
             states = ", ".join(f"{handle.spec.name} is {handle.state}" for handle in replicas)
-            return error(
+            return error_response(
                 503,
                 f"no shard serving venue {venue!r} is up ({states})",
                 "ServiceUnavailableError",
@@ -902,7 +692,7 @@ class ShardRouter:
         shard_name = handle.spec.name
         if handle.inflight >= self._config.max_inflight_per_shard:
             self._metrics.shed += 1
-            return error(
+            return error_response(
                 429,
                 f"shard {shard_name!r} in-flight budget full "
                 f"({handle.inflight}/{self._config.max_inflight_per_shard})",
@@ -918,7 +708,7 @@ class ShardRouter:
             )
         except asyncio.TimeoutError:
             self._metrics.proxy_timeouts += 1
-            return error(
+            return error_response(
                 504,
                 f"shard {shard_name!r} did not answer within "
                 f"{self._config.shard_request_timeout_seconds}s",
@@ -930,7 +720,7 @@ class ShardRouter:
             # respawn); this request is answered 502 rather than retried —
             # the router never silently re-runs work on a dying process.
             self._metrics.proxy_failures += 1
-            return error(502, str(exc), "ShardConnectionError", shard=shard_name)
+            return error_response(502, str(exc), "ShardConnectionError", shard=shard_name)
         finally:
             handle.inflight -= 1
         self._metrics.observe_routed(shard_name, status, time.perf_counter() - started)

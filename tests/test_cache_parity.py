@@ -13,6 +13,10 @@ interval-index time bucketing of the planner (``query-time`` groups by
 ``IntervalBitsets.index_at``).
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from test_compiled_parity import METHODS, assert_parity
@@ -221,6 +225,84 @@ class TestEvictionAndInvalidation:
         for reference, query in zip(expected, example_queries):
             assert_parity(reference, engine.run(query, method="synchronous"))
         assert cache.trees_built > built_before
+
+
+def recorded_trees(itgraph, queries, max_entries):
+    """An eager cache of capacity ``max_entries`` and the trees it recorded
+    for the distinct synchronous groups of ``queries``."""
+    engine = ITSPQEngine(itgraph, cache=CacheConfig(max_entries=max_entries, mode="eager"))
+    groups = engine.batch_executor().planner.plan(list(queries), "synchronous")
+    cache = engine.cache
+    trees = [cache.build(group) for group in groups]
+    cache.invalidate()
+    return cache, trees
+
+
+def cached_bytes(cache, keys):
+    """The summed ``memory_bytes`` of the live entries among ``keys``."""
+    trees = [cache.peek(key) for key in keys]
+    return sum(tree.memory_bytes() for tree in trees if tree is not None)
+
+
+class TestMemoryAccounting:
+    """``stats()["memory_bytes"]`` is a running total: the service reads it
+    on its event-loop thread while a worker thread's batch stores trees."""
+
+    def test_total_follows_store_replace_evict_and_invalidate(self, example_itgraph, example_queries):
+        cache, trees = recorded_trees(example_itgraph, example_queries, max_entries=2)
+        sizes = {tree.memory_bytes() for tree in trees}
+        assert len(sizes) > 1, "the sequence needs trees of different sizes"
+        keys = [("a",), ("b",), ("c",)]
+        evictions = cache.evictions
+        steps = [
+            lambda: cache.store_tree(keys[0], trees[0]),
+            lambda: cache.store_tree(keys[1], trees[1]),
+            lambda: cache.store_tree(keys[0], trees[2]),  # replace
+            lambda: cache.store_tree(keys[2], trees[3]),  # evicts keys[1]
+            lambda: cache.lookup(keys[1]),
+            lambda: cache.store_tree(keys[2], trees[2]),  # replace
+            cache.invalidate,
+            lambda: cache.store_tree(keys[1], trees[4]),
+        ]
+        for step in steps:
+            step()
+            assert cache.stats()["memory_bytes"] == cached_bytes(cache, keys)
+        assert cache.evictions == evictions + 1
+        assert cache.stats()["memory_bytes"] == trees[4].memory_bytes() > 0
+
+    def test_stats_never_raise_while_another_thread_stores(self, example_itgraph, example_queries):
+        cache, trees = recorded_trees(example_itgraph, example_queries, max_entries=8)
+        keys = [(index,) for index in range(24)]
+        stop = threading.Event()
+
+        def store_forever():
+            index = 0
+            while not stop.is_set():
+                cache.store_tree(keys[index % len(keys)], trees[index % len(trees)])
+                index += 1
+
+        errors = []
+        scrapes = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=store_forever, daemon=True)
+        try:
+            writer.start()
+            ends = time.monotonic() + 1.0
+            while time.monotonic() < ends:
+                try:
+                    cache.stats()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                scrapes += 1
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert cache.evictions > 0 and scrapes > 0
+        assert not errors, f"{len(errors)} of {scrapes} scrapes raised: {errors[0]}"
+        assert cache.stats()["memory_bytes"] == cached_bytes(cache, keys)
 
 
 class TestAdmission:

@@ -19,6 +19,7 @@ import pytest
 from repro.core.cache import CacheConfig
 from repro.core.engine import ITSPQEngine
 from repro.service import ITSPQService, ServiceConfig
+from repro.service.metrics import LatencyReservoir
 
 from tests._service_http import (
     OVERSIZED_HEADER_REQUEST,
@@ -490,3 +491,22 @@ class TestAdmissionControl:
             assert service.admission.shed == statuses.count(429)
 
         run_service_test(service, body)
+
+
+class TestLatencyPercentiles:
+    @pytest.mark.parametrize(
+        "samples, fraction, expected",
+        [
+            ([1.0, 2.0], 0.50, 1.0),
+            ([float(rank) for rank in range(1, 101)], 0.50, 50.0),
+            ([float(rank) for rank in range(1, 101)], 0.99, 99.0),
+            ([], 0.50, None),
+        ],
+    )
+    def test_percentiles_are_nearest_rank(self, samples, fraction, expected):
+        """The ``ceil(fraction * n)``-th smallest sample, as perfbench reads
+        its own latencies: p99 of 1..100 is 99, not the maximum."""
+        reservoir = LatencyReservoir()
+        for sample in samples:
+            reservoir.observe(sample)
+        assert reservoir.percentile(fraction) == expected

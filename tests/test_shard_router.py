@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import time
 
 import pytest
@@ -32,6 +34,7 @@ from tests._service_http import (
     OVERSIZED_HEADER_REQUEST,
     assert_matches_oracle,
     chunked_then_valid_request,
+    eventually,
     get,
     post_query,
     query_body,
@@ -152,9 +155,14 @@ class TestPlanAndValidation:
             ({"startup_timeout_seconds": 0}, "startup_timeout_seconds"),
             ({"respawn_backoff_base": -1}, "respawn_backoff_base"),
             ({"respawn_backoff_cap": -1}, "respawn_backoff_cap"),
-            ({"max_respawns": 0}, "max_respawns"),
-            ({"drain_timeout_seconds": -1}, "drain_timeout_seconds"),
-            ({"max_body_bytes": 0}, "max_body_bytes"),
+            # A case's position is part of its test ID (``kwargsN``); these
+            # keep theirs past the deleted ``kwargs7`` case.
+            pytest.param(
+                {"drain_timeout_seconds": -1},
+                "drain_timeout_seconds",
+                id="kwargs8-drain_timeout_seconds",
+            ),
+            pytest.param({"max_body_bytes": 0}, "max_body_bytes", id="kwargs9-max_body_bytes"),
         ],
     )
     def test_config_validation_names_the_field(self, kwargs, message):
@@ -590,3 +598,53 @@ class TestHostileInput:
             assert status == 200
 
         run_router_test(one_shard_router(payload_files), body)
+
+
+class TestShedAndProxyTimeout:
+    def test_full_budget_sheds_429_and_a_stalled_shard_answers_504(
+        self, payload_files, oracle_engine, example_points
+    ):
+        """With the only shard paused (SIGSTOP), a first query holds its
+        one in-flight slot until the proxy timeout answers it 504; a second
+        query meanwhile is shed 429 at the router.  Both bodies name the
+        shard, and the shard answers bit-identically once resumed."""
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = oracle_engine.query(p3, p4, "9:00")
+        document = query_body(p3, p4)
+
+        async def body(router):
+            pid = router.shard_snapshot("shard-0")["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                first = asyncio.ensure_future(post_query(router.host, router.port, document))
+                await eventually(lambda: router.shard_snapshot("shard-0")["inflight"] == 1)
+                status, payload = await post_query(router.host, router.port, document)
+                assert status == 429, payload
+                assert list(payload.items()) == [
+                    ("error", "shard 'shard-0' in-flight budget full (1/1)"),
+                    ("type", "ServiceOverloadedError"),
+                    ("shard", "shard-0"),
+                ]
+                status, payload = await first
+                assert status == 504, payload
+                assert list(payload.items()) == [
+                    ("error", "shard 'shard-0' did not answer within 1.0s"),
+                    ("type", "ShardTimeoutError"),
+                    ("shard", "shard-0"),
+                ]
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            status, payload = await post_query(router.host, router.port, document)
+            assert status == 200, payload
+            assert_matches_oracle(payload, oracle)
+            assert router.metrics.received == 3
+            assert router.metrics.shed == 1
+            assert router.metrics.proxy_timeouts == 1
+            assert router.shard_snapshot("shard-0")["deaths"] == 0
+
+        run_router_test(
+            one_shard_router(
+                payload_files, max_inflight_per_shard=1, shard_request_timeout_seconds=1.0
+            ),
+            body,
+        )
